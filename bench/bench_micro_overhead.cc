@@ -67,6 +67,60 @@ void BM_MatchHit(benchmark::State& state) {
 }
 BENCHMARK(BM_MatchHit);
 
+/// A template whose 16 monitored instructions all hit once warm: two binds
+/// and seven select/count pairs, the first range from the params and the
+/// rest from constant lower bounds.
+Program WideHitTemplate() {
+  PlanBuilder b("micro_wide");
+  int lo = b.Param("A0");
+  int hi = b.Param("A1");
+  int v = b.Bind("t", "v");
+  b.Bind("t", "k");
+  int cnt = -1;
+  for (int i = 0; i < 7; ++i) {
+    cnt = b.AggrCount(b.Select(v, lo, hi, true, i % 2 == 0));
+    lo = b.ConstInt(i * 11);
+  }
+  b.ExportValue(cnt, "n");
+  Program p = b.Build();
+  MarkForRecycling(&p);
+  return p;
+}
+
+/// Warm exact hits through ConcurrentRecycler::Session, the path the query
+/// service's workers take: default 16 stripes, stripe chosen from the probe
+/// key, shared-lock probe. range(0) other instances of the template are
+/// admitted first so the probe searches a populated pool. ns_per_instr is
+/// the run's wall time over its monitored instructions — dispatch plus
+/// probe per instruction, with the per-run overhead spread over 16.
+void BM_SessionMatchHit(benchmark::State& state) {
+  auto cat = MicroDb();
+  ConcurrentRecycler rec(RecyclerConfig{});
+  auto session = rec.NewSession();
+  Interpreter interp(cat.get(), session.get());
+  Program p = WideHitTemplate();
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    // Empty ranges (hi below every lower bound): distinct keys, tiny results.
+    MustRun(&interp, p,
+            {Scalar::Int(0), Scalar::Int(static_cast<int32_t>(-1 - i))});
+  }
+  std::vector<Scalar> params{Scalar::Int(10), Scalar::Int(500)};
+  MustRun(&interp, p, params);  // admit the timed instance
+  MustRun(&interp, p, params);  // and warm the interpreter's buffers
+  const uint64_t hits0 = rec.stats().exact_hits;
+  const int monitored = interp.last_run().monitored;
+  StopWatch sw;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MustRun(&interp, p, params));
+  }
+  const double ns = static_cast<double>(sw.ElapsedNanos());
+  RDB_CHECK(rec.stats().exact_hits - hits0 ==
+            static_cast<uint64_t>(state.iterations()) * monitored);
+  state.counters["ns_per_instr"] =
+      ns / (static_cast<double>(state.iterations()) * monitored);
+}
+BENCHMARK(BM_SessionMatchHit)->Arg(0)->Arg(1024);
+
 /// Match misses with admission: recycleEntry + recycleExit slow path.
 void BM_MatchMissAndAdmit(benchmark::State& state) {
   auto cat = MicroDb();

@@ -69,17 +69,25 @@ ConcurrentRecycler::ConcurrentRecycler(RecyclerConfig cfg,
 
 size_t ConcurrentRecycler::StripeOf(Opcode op,
                                     const std::vector<MalValue>& args) const {
+  return StripeOf(RecyclerHook::InstrView{nullptr, 0, op, &args});
+}
+
+size_t ConcurrentRecycler::StripeOf(
+    const RecyclerHook::InstrView& instr) const {
   if (stripes_.size() == 1) return 0;
+  const std::vector<MalValue>& args = *instr.args;
   uint64_t h;
   if (!args.empty() && args[0].is_bat()) {
     // Key by (subsumption-candidate op, first-arg bat): the probe and every
     // entry that could answer it — exactly or by subsumption — co-locate.
-    Opcode key_op = Recycler::SubsumptionCandidateOp(op).value_or(op);
+    Opcode key_op =
+        Recycler::SubsumptionCandidateOp(instr.op).value_or(instr.op);
     h = static_cast<uint64_t>(key_op) + 0x9e3779b97f4a7c15ULL;
-    h = (h ^ (args[0].bat()->id() * 0xc2b2ae3d27d4eb4fULL)) * 0x9e3779b97f4a7c15ULL;
+    h = (h ^ (args[0].bat()->id() * 0xc2b2ae3d27d4eb4fULL)) *
+        0x9e3779b97f4a7c15ULL;
     h ^= h >> 29;
   } else {
-    h = RecyclePool::MatchHash(op, args);
+    h = instr.hash();  // the probe's own key: hashed once per instruction
   }
   return static_cast<size_t>(h % stripes_.size());
 }
@@ -95,31 +103,34 @@ void ConcurrentRecycler::SessionEnd(const QueryCtx& ctx) {
   stripes_[0]->core->EndQueryCtx(ctx);
 }
 
-bool ConcurrentRecycler::SessionOnEntry(const QueryCtx& ctx,
-                                        const RecyclerHook::InstrView& instr,
-                                        std::vector<MalValue>* results,
-                                        obs::QueryTrace* trace) {
-  size_t si = StripeOf(instr.op, *instr.args);
+RecyclerHook::Reuse ConcurrentRecycler::SessionOnEntry(
+    const QueryCtx& ctx, const RecyclerHook::InstrView& instr,
+    std::vector<MalValue>* results, std::vector<ColumnId>* deps,
+    obs::QueryTrace* trace) {
+  size_t si = StripeOf(instr);
   Stripe& s = *stripes_[si];
-  // -1: fall through to the subsumption path; 0: pure miss; 1: exact hit.
-  int fast_outcome = -1;
+  // Set when the probe completes on the shared lock: an exact hit or a pure
+  // miss. Unset falls through to the subsumption path.
+  bool fast = false;
+  RecyclerHook::Reuse outcome = RecyclerHook::kMiss;
   double fast_saved_ms = 0;
   {
     std::shared_lock lock(s.mu);
-    s.shared_acq.fetch_add(1, std::memory_order_relaxed);
     // Hot path: an exact hit completes entirely under the shared lock —
     // per-entry reuse stats are atomics, the credit ledger is concurrent
-    // (so CREDIT/ADAPT hits stay here too), aggregates below are ours.
-    Recycler::SharedHit hit = s.core->TryExactHitShared(ctx, instr, results);
+    // (so CREDIT/ADAPT hits stay here too), aggregates below are ours. The
+    // entry's results and dependency set are copied out under this lock.
+    Recycler::SharedHit hit =
+        s.core->TryExactHitShared(ctx, instr, results, deps);
     if (hit.hit) {
-      s.fast_hits.fetch_add(1, std::memory_order_relaxed);
       if (hit.local)
         s.fast_local_hits.fetch_add(1, std::memory_order_relaxed);
       else
         s.fast_global_hits.fetch_add(1, std::memory_order_relaxed);
       s.fast_saved_ns.fetch_add(static_cast<uint64_t>(hit.saved_ms * 1e6),
                                 std::memory_order_relaxed);
-      fast_outcome = 1;
+      fast = true;
+      outcome = RecyclerHook::kExactHit;
       fast_saved_ms = hit.saved_ms;
     } else {
       // Exact match missed: a miss with no subsumption candidates — the
@@ -137,19 +148,23 @@ bool ConcurrentRecycler::SessionOnEntry(const QueryCtx& ctx,
       if (!maybe_subsumes) {
         // Pure miss: execute outside any lock; OnExit offers the result.
         s.fast_misses.fetch_add(1, std::memory_order_relaxed);
-        fast_outcome = 0;
+        fast = true;
+      } else {
+        s.escalated.fetch_add(1, std::memory_order_relaxed);
       }
     }
   }
-  if (fast_outcome >= 0) {
+  if (fast) {
     if (trace != nullptr) {
       obs::RecyclerDecision d;
       d.pc = instr.pc;
       d.op = instr.op;
-      d.kind = fast_outcome == 1 ? obs::RecyclerDecision::Kind::kExactHit
-                                 : obs::RecyclerDecision::Kind::kMiss;
+      d.kind = outcome == RecyclerHook::kExactHit
+                   ? obs::RecyclerDecision::Kind::kExactHit
+                   : obs::RecyclerDecision::Kind::kMiss;
       d.stripe = static_cast<uint32_t>(si);
-      if (fast_outcome == 1) d.bytes = TraceResultBytes(*results);
+      if (outcome == RecyclerHook::kExactHit)
+        d.bytes = TraceResultBytes(*results);
       if (cfg_.admission != AdmissionKind::kKeepAll)
         d.credits =
             shared_.ledger.CreditsLeft(instr.prog->template_id, instr.pc);
@@ -160,7 +175,7 @@ bool ConcurrentRecycler::SessionOnEntry(const QueryCtx& ctx,
     // misses that never admit) must not trap budget other stripes starve
     // for. No-op without a kPerStripe budget or pending signal.
     MaybeServicePressure(si);
-    return fast_outcome == 1;
+    return outcome;
   }
   // Possible subsumption: the DP reads candidate entries and admits the
   // rewritten result, all within this stripe (the stripe key guarantees the
@@ -169,27 +184,16 @@ bool ConcurrentRecycler::SessionOnEntry(const QueryCtx& ctx,
   // kGlobalExact budget the admission may need to evict in other stripes,
   // so the whole group is locked (fixed order) instead; a kPerStripe budget
   // charges this stripe's lease and stays local.
-  if (global_budget_) {
-    auto locks = LockAllExclusive();
-    if (trace == nullptr) return s.core->OnEntryCtx(ctx, instr, results);
-    RecyclerStats before = LockedStatsUnsafe(si);
-    size_t bytes_before = LockedBytesUnsafe(si);
-    bool hit = s.core->OnEntryCtx(ctx, instr, results);
-    AppendTraceDelta(trace, instr, si, before, bytes_before,
-                     /*emit_probe=*/true, hit,
-                     hit ? TraceResultBytes(*results) : 0);
-    return hit;
-  }
-  std::unique_lock lock(s.mu);
-  s.excl_acq.fetch_add(1, std::memory_order_relaxed);
-  if (trace == nullptr) return s.core->OnEntryCtx(ctx, instr, results);
+  auto locks = LockForAdmission(si);
+  if (trace == nullptr) return s.core->OnEntryCtx(ctx, instr, results, deps);
   RecyclerStats before = LockedStatsUnsafe(si);
   size_t bytes_before = LockedBytesUnsafe(si);
-  bool hit = s.core->OnEntryCtx(ctx, instr, results);
+  outcome = s.core->OnEntryCtx(ctx, instr, results, deps);
   AppendTraceDelta(trace, instr, si, before, bytes_before,
-                   /*emit_probe=*/true, hit,
-                   hit ? TraceResultBytes(*results) : 0);
-  return hit;
+                   /*emit_probe=*/true, outcome,
+                   outcome != RecyclerHook::kMiss ? TraceResultBytes(*results)
+                                                  : 0);
+  return outcome;
 }
 
 void ConcurrentRecycler::SessionOnExit(const QueryCtx& ctx,
@@ -198,26 +202,9 @@ void ConcurrentRecycler::SessionOnExit(const QueryCtx& ctx,
                                        double cpu_ms,
                                        const std::vector<ColumnId>& deps,
                                        obs::QueryTrace* trace) {
-  size_t si = StripeOf(instr.op, *instr.args);
+  size_t si = StripeOf(instr);
   Stripe& s = *stripes_[si];
-  if (global_budget_) {
-    // Admission under a kGlobalExact byte/entry budget: eviction must see
-    // every stripe, so the whole group is locked in fixed order.
-    auto locks = LockAllExclusive();
-    if (trace == nullptr) {
-      s.core->OnExitCtx(ctx, instr, results, cpu_ms, deps);
-      return;
-    }
-    RecyclerStats before = LockedStatsUnsafe(si);
-    size_t bytes_before = LockedBytesUnsafe(si);
-    s.core->OnExitCtx(ctx, instr, results, cpu_ms, deps);
-    AppendTraceDelta(trace, instr, si, before, bytes_before,
-                     /*emit_probe=*/false, /*hit=*/false,
-                     TraceResultBytes(results));
-    return;
-  }
-  std::unique_lock lock(s.mu);
-  s.excl_acq.fetch_add(1, std::memory_order_relaxed);
+  auto locks = LockForAdmission(si);
   if (trace == nullptr) {
     s.core->OnExitCtx(ctx, instr, results, cpu_ms, deps);
     return;
@@ -226,7 +213,7 @@ void ConcurrentRecycler::SessionOnExit(const QueryCtx& ctx,
   size_t bytes_before = LockedBytesUnsafe(si);
   s.core->OnExitCtx(ctx, instr, results, cpu_ms, deps);
   AppendTraceDelta(trace, instr, si, before, bytes_before,
-                   /*emit_probe=*/false, /*hit=*/false,
+                   /*emit_probe=*/false, RecyclerHook::kMiss,
                    TraceResultBytes(results));
 }
 
@@ -252,7 +239,7 @@ size_t ConcurrentRecycler::LockedBytesUnsafe(size_t stripe_idx) const {
 void ConcurrentRecycler::AppendTraceDelta(
     obs::QueryTrace* trace, const RecyclerHook::InstrView& instr,
     size_t stripe_idx, const RecyclerStats& before, size_t bytes_before,
-    bool emit_probe, bool hit, uint64_t hit_bytes) {
+    bool emit_probe, RecyclerHook::Reuse outcome, uint64_t hit_bytes) {
   RecyclerStats after = LockedStatsUnsafe(stripe_idx);
   size_t bytes_after = LockedBytesUnsafe(stripe_idx);
   int credits = -1;
@@ -272,9 +259,10 @@ void ConcurrentRecycler::AppendTraceDelta(
   if (emit_probe) {
     // Entry side: exactly one probe-outcome record per monitored execution.
     obs::RecyclerDecision d =
-        base(hit ? (after.exact_hits > before.exact_hits
-                        ? obs::RecyclerDecision::Kind::kExactHit
-                        : obs::RecyclerDecision::Kind::kSubsumedHit)
+        base(outcome == RecyclerHook::kExactHit
+                 ? obs::RecyclerDecision::Kind::kExactHit
+             : outcome == RecyclerHook::kSubsumedHit
+                 ? obs::RecyclerDecision::Kind::kSubsumedHit
                  : obs::RecyclerDecision::Kind::kMiss);
     d.bytes = hit_bytes;
     d.saved_ms = after.time_saved_ms - before.time_saved_ms;
@@ -295,6 +283,18 @@ void ConcurrentRecycler::AppendTraceDelta(
     d.bytes = bytes_before > bytes_after ? bytes_before - bytes_after : 0;
     trace->AddDecision(d);
   }
+}
+
+std::vector<std::unique_lock<std::shared_mutex>>
+ConcurrentRecycler::LockForAdmission(size_t stripe_idx) {
+  // Admission under a kGlobalExact byte/entry budget: eviction must see
+  // every stripe, so the whole group is locked in fixed order.
+  if (global_budget_) return LockAllExclusive();
+  Stripe& s = *stripes_[stripe_idx];
+  std::vector<std::unique_lock<std::shared_mutex>> locks;
+  locks.emplace_back(s.mu);
+  s.excl_acq.fetch_add(1, std::memory_order_relaxed);
+  return locks;
 }
 
 std::vector<std::unique_lock<std::shared_mutex>>
@@ -524,12 +524,11 @@ void ConcurrentRecycler::ResetStats() {
   for (auto& s : stripes_) {
     s->core->ResetStats();
     s->fast_misses.store(0, std::memory_order_relaxed);
-    s->fast_hits.store(0, std::memory_order_relaxed);
     s->fast_local_hits.store(0, std::memory_order_relaxed);
     s->fast_global_hits.store(0, std::memory_order_relaxed);
     s->fast_saved_ns.store(0, std::memory_order_relaxed);
+    s->escalated.store(0, std::memory_order_relaxed);
     s->excl_acq.store(0, std::memory_order_relaxed);
-    s->shared_acq.store(0, std::memory_order_relaxed);
     if (s->lease != nullptr) s->lease->ResetCounters();
   }
   all_stripe_ops_.store(0, std::memory_order_relaxed);
@@ -540,7 +539,7 @@ RecyclerStats ConcurrentRecycler::stats() const {
   for (auto& s : stripes_) {
     std::shared_lock lock(s->mu);
     out += s->core->stats();
-    uint64_t fh = s->fast_hits.load(std::memory_order_relaxed);
+    uint64_t fh = s->fast_hits();
     out.monitored += s->fast_misses.load(std::memory_order_relaxed) + fh;
     out.hits += fh;
     out.exact_hits += fh;
@@ -563,9 +562,8 @@ std::vector<ConcurrentRecycler::StripeStats> ConcurrentRecycler::stripe_stats()
     st.entries = s->core->pool().num_entries();
     st.bytes = s->core->pool().total_bytes();
     st.excl_acquisitions = s->excl_acq.load(std::memory_order_relaxed);
-    st.shared_acquisitions = s->shared_acq.load(std::memory_order_relaxed);
-    st.hits = s->core->stats().hits +
-              s->fast_hits.load(std::memory_order_relaxed);
+    st.shared_acquisitions = s->shared_acquisitions();
+    st.hits = s->core->stats().hits + s->fast_hits();
     st.admitted = s->core->stats().admitted;
     st.evicted = s->core->stats().evicted;
     if (s->lease != nullptr) {
@@ -580,13 +578,13 @@ std::vector<ConcurrentRecycler::StripeStats> ConcurrentRecycler::stripe_stats()
   return out;
 }
 
-std::vector<std::string> ConcurrentRecycler::ContentSignature() const {
+std::vector<std::string> ConcurrentRecycler::ContentSignature(
+    std::string (*signature)(const PoolEntry&)) const {
   std::vector<std::string> out;
   for (auto& s : stripes_) {
     std::shared_lock lock(s->mu);
     const RecyclePool& pool = s->core->pool();
-    for (const PoolEntry* e : pool.Entries())
-      out.push_back(RecyclePool::EntrySignature(*e));
+    for (const PoolEntry* e : pool.Entries()) out.push_back(signature(*e));
   }
   std::sort(out.begin(), out.end());
   return out;

@@ -111,13 +111,15 @@ class ConcurrentRecycler {
       ctx_.epoch = epoch_;
     }
     void EndQuery() override { owner_->SessionEnd(ctx_); }
-    bool OnEntry(const InstrView& instr,
-                 std::vector<MalValue>* results) override {
-      return owner_->SessionOnEntry(ctx_, instr, results, trace_);
+    Reuse OnEntry(const InstrView& instr, std::vector<MalValue>* results,
+                  std::vector<ColumnId>* deps = nullptr) override {
+      return owner_->SessionOnEntry(ctx_, instr.Hashed(), results, deps,
+                                    trace_);
     }
     void OnExit(const InstrView& instr, const std::vector<MalValue>& results,
                 double cpu_ms, const std::vector<ColumnId>& deps) override {
-      owner_->SessionOnExit(ctx_, instr, results, cpu_ms, deps, trace_);
+      owner_->SessionOnExit(ctx_, instr.Hashed(), results, cpu_ms, deps,
+                            trace_);
     }
 
     /// Attaches a per-query decision-record sink for the NEXT invocations
@@ -218,9 +220,11 @@ class ConcurrentRecycler {
   /// tests that pin fingerprints to stripes).
   size_t StripeOf(Opcode op, const std::vector<MalValue>& args) const;
 
-  /// Sorted multiset of RecyclePool::EntrySignature over every stripe, for
-  /// parity tests against an unstriped Recycler pool.
-  std::vector<std::string> ContentSignature() const;
+  /// Sorted multiset of `signature` (by default RecyclePool::EntrySignature)
+  /// over every stripe's entries, for parity tests against another pool.
+  std::vector<std::string> ContentSignature(
+      std::string (*signature)(const PoolEntry&) =
+          &RecyclePool::EntrySignature) const;
 
  private:
   friend class Session;
@@ -232,24 +236,39 @@ class ConcurrentRecycler {
     /// otherwise). Held capacity always covers the stripe's live
     /// bytes/entries; mutated only under this stripe's exclusive lock.
     ResourceGovernor::Lease* lease = nullptr;
-    // Contention counters.
-    std::atomic<uint64_t> excl_acq{0};
-    std::atomic<uint64_t> shared_acq{0};
-    // Monitored executions resolved entirely on this stripe's shared-lock
-    // fast paths (pure misses and exact hits). Folded into stats() so
-    // aggregates stay exact without the fast paths writing the core's
-    // plain counters.
+    std::atomic<uint64_t> excl_acq{0};  ///< exclusive lock takes
+    // Outcomes of the shared-lock probes on this stripe, one per probe, so
+    // their sum is the stripe's shared-lock acquisitions and the exact-hit
+    // path pays the fewest atomic increments. Pure misses and exact hits
+    // (local + global) are folded into stats() so aggregates stay exact
+    // without the fast paths writing the core's plain counters.
     std::atomic<uint64_t> fast_misses{0};
-    std::atomic<uint64_t> fast_hits{0};
     std::atomic<uint64_t> fast_local_hits{0};
     std::atomic<uint64_t> fast_global_hits{0};
     std::atomic<uint64_t> fast_saved_ns{0};
+    std::atomic<uint64_t> escalated{0};  ///< passed on to the subsumption path
+
+    uint64_t fast_hits() const {
+      return fast_local_hits.load(std::memory_order_relaxed) +
+             fast_global_hits.load(std::memory_order_relaxed);
+    }
+    uint64_t shared_acquisitions() const {
+      return fast_hits() + fast_misses.load(std::memory_order_relaxed) +
+             escalated.load(std::memory_order_relaxed);
+    }
   };
+
+  /// StripeOf for a view that may already carry its match hash (used, not
+  /// recomputed, when the key is the full match hash).
+  size_t StripeOf(const RecyclerHook::InstrView& instr) const;
 
   QueryCtx SessionBegin(const Program& prog);
   void SessionEnd(const QueryCtx& ctx);
-  bool SessionOnEntry(const QueryCtx& ctx, const RecyclerHook::InstrView& instr,
-                      std::vector<MalValue>* results, obs::QueryTrace* trace);
+  RecyclerHook::Reuse SessionOnEntry(const QueryCtx& ctx,
+                                     const RecyclerHook::InstrView& instr,
+                                     std::vector<MalValue>* results,
+                                     std::vector<ColumnId>* deps,
+                                     obs::QueryTrace* trace);
   void SessionOnExit(const QueryCtx& ctx, const RecyclerHook::InstrView& instr,
                      const std::vector<MalValue>& results, double cpu_ms,
                      const std::vector<ColumnId>& deps,
@@ -267,13 +286,19 @@ class ConcurrentRecycler {
   /// Same scope as LockedStatsUnsafe, for pool bytes.
   size_t LockedBytesUnsafe(size_t stripe_idx) const;
   /// Emits decision records for one traced slow-path call from the stats
-  /// delta it left behind. `hit`/`hit_bytes` describe the entry-side
-  /// outcome; pass hit=false, emit_probe=false for the exit side (which
-  /// has no probe outcome of its own).
+  /// delta it left behind. `outcome`/`hit_bytes` describe the entry-side
+  /// probe; pass kMiss, emit_probe=false for the exit side (which has no
+  /// probe outcome of its own).
   void AppendTraceDelta(obs::QueryTrace* trace,
                         const RecyclerHook::InstrView& instr, size_t stripe_idx,
                         const RecyclerStats& before, size_t bytes_before,
-                        bool emit_probe, bool hit, uint64_t hit_bytes);
+                        bool emit_probe, RecyclerHook::Reuse outcome,
+                        uint64_t hit_bytes);
+
+  /// The exclusive scope of the subsumption and admission paths: the one
+  /// stripe, or every stripe (LockAllExclusive) under a kGlobalExact budget.
+  std::vector<std::unique_lock<std::shared_mutex>> LockForAdmission(
+      size_t stripe_idx);
 
   /// Exclusively locks every stripe in index order (the global lock-order
   /// invariant: stripe i is only ever acquired while holding 0..i-1 or

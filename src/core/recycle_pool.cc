@@ -70,14 +70,6 @@ RecyclePool::RecyclePool(PoolSharedState* shared) : shared_(shared) {
   }
 }
 
-size_t RecyclePool::MatchHash(Opcode op, const std::vector<MalValue>& args) {
-  size_t h = static_cast<size_t>(op) * 0x9e3779b97f4a7c15ULL + 0x1234567;
-  for (const MalValue& a : args) {
-    h ^= a.MatchHash() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  }
-  return h;
-}
-
 uint64_t RecyclePool::Admit(PoolEntry entry) {
   entry.id = next_id_++;
   uint64_t id = entry.id;
@@ -88,7 +80,7 @@ uint64_t RecyclePool::Admit(PoolEntry entry) {
 }
 
 void RecyclePool::IndexEntry(PoolEntry* e) {
-  match_index_.emplace(MatchHash(e->op, e->args), e->id);
+  match_index_.emplace(MatchHash(e->op, e->args), e);
   if (!e->args.empty() && e->args[0].is_bat()) {
     op_arg_index_[{static_cast<int>(e->op), e->args[0].bat()->id()}]
         .push_back(e->id);
@@ -139,7 +131,7 @@ void RecyclePool::UnindexEntry(PoolEntry* e) {
   // match index
   auto range = match_index_.equal_range(MatchHash(e->op, e->args));
   for (auto it = range.first; it != range.second; ++it) {
-    if (it->second == e->id) {
+    if (it->second == e) {
       match_index_.erase(it);
       break;
     }
@@ -199,12 +191,13 @@ void RecyclePool::UnindexEntry(PoolEntry* e) {
   });
 }
 
-PoolEntry* RecyclePool::FindExact(Opcode op, const std::vector<MalValue>& args,
+PoolEntry* RecyclePool::FindExact(size_t hash, Opcode op,
+                                  const std::vector<MalValue>& args,
                                   uint64_t visible_epoch) {
-  auto range = match_index_.equal_range(MatchHash(op, args));
+  auto range = match_index_.equal_range(hash);
   for (auto it = range.first; it != range.second; ++it) {
-    PoolEntry* e = Get(it->second);
-    if (e == nullptr || e->op != op || e->args.size() != args.size()) continue;
+    PoolEntry* e = it->second;
+    if (e->op != op || e->args.size() != args.size()) continue;
     if (e->valid_from > visible_epoch) continue;  // newer than the snapshot
     bool eq = true;
     for (size_t i = 0; i < args.size(); ++i) {

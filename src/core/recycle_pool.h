@@ -211,8 +211,15 @@ class RecyclePool {
   /// Entries tagged valid_from > `visible_epoch` are skipped: they were
   /// produced from a catalog version newer than the probing query's
   /// snapshot. The default sees everything (legacy behaviour).
-  PoolEntry* FindExact(Opcode op, const std::vector<MalValue>& args,
+  /// `hash` must be MatchHash(op, args): callers that already hold it (the
+  /// recycler's hit path) pass it in, so each probe hashes its key once.
+  PoolEntry* FindExact(size_t hash, Opcode op,
+                       const std::vector<MalValue>& args,
                        uint64_t visible_epoch = kEpochLatest);
+  PoolEntry* FindExact(Opcode op, const std::vector<MalValue>& args,
+                       uint64_t visible_epoch = kEpochLatest) {
+    return FindExact(MatchHash(op, args), op, args, visible_epoch);
+  }
 
   /// True when at least one live entry has `op` over first-argument bat
   /// `bat_id` (cheap subsumption-candidate existence probe; const for the
@@ -293,10 +300,6 @@ class RecyclePool {
   /// Table I-style rendering of the pool head.
   std::string Dump(size_t max_entries = 24) const;
 
-  /// The exact-match key hash over (opcode, argument values). Public because
-  /// the striped recycler uses it as (part of) the stripe-selection key.
-  static size_t MatchHash(Opcode op, const std::vector<MalValue>& args);
-
   /// Timing-free identity of one entry (opcode, result rows, owned bytes,
   /// reuse counters, dependency count). Two pools whose sorted signature
   /// multisets are equal hold equivalent contents — the parity tests compare
@@ -309,7 +312,10 @@ class RecyclePool {
   void UnindexEntry(PoolEntry* e);
 
   std::unordered_map<uint64_t, PoolEntry> entries_;
-  std::unordered_multimap<size_t, uint64_t> match_index_;
+  /// Match hash -> entry. Entries are node-stable in entries_ and unindexed
+  /// before they are erased, so a probe reaches its candidates in one
+  /// lookup.
+  std::unordered_multimap<size_t, PoolEntry*> match_index_;
   // (op, first-arg bat id) -> entry ids, for subsumption candidates.
   std::map<std::pair<int, uint64_t>, std::vector<uint64_t>> op_arg_index_;
   std::unique_ptr<PoolSharedState> owned_shared_;  ///< null when sharing

@@ -54,14 +54,16 @@ void Recycler::EndQuery() {
   cur_ctx_ = QueryCtx();
 }
 
-bool Recycler::OnEntry(const InstrView& instr, std::vector<MalValue>* results) {
-  return OnEntryCtx(cur_ctx_, instr, results);
+RecyclerHook::Reuse Recycler::OnEntry(const InstrView& instr,
+                                     std::vector<MalValue>* results,
+                                     std::vector<ColumnId>* deps) {
+  return OnEntryCtx(cur_ctx_, instr.Hashed(), results, deps);
 }
 
 void Recycler::OnExit(const InstrView& instr,
                       const std::vector<MalValue>& results, double cpu_ms,
                       const std::vector<ColumnId>& deps) {
-  OnExitCtx(cur_ctx_, instr, results, cpu_ms, deps);
+  OnExitCtx(cur_ctx_, instr.Hashed(), results, cpu_ms, deps);
 }
 
 void Recycler::RecordHit(const QueryCtx& ctx, PoolEntry* e, bool exact) {
@@ -99,11 +101,16 @@ std::optional<Opcode> Recycler::SubsumptionCandidateOp(Opcode op) {
 
 Recycler::SharedHit Recycler::TryExactHitShared(const QueryCtx& ctx,
                                                 const InstrView& instr,
-                                                std::vector<MalValue>* results) {
+                                                std::vector<MalValue>* results,
+                                                std::vector<ColumnId>* deps) {
   SharedHit out;
-  PoolEntry* e = pool_.FindExact(instr.op, *instr.args, ctx.epoch);
+  PoolEntry* e =
+      pool_.FindExact(instr.hash(), instr.op, *instr.args, ctx.epoch);
   if (e == nullptr) return out;
-  *results = e->results;  // shared_ptr copies: safe against later eviction
+  // shared_ptr copies into the caller's reused buffers: safe against later
+  // eviction, and allocation-free once the buffers have grown.
+  results->assign(e->results.begin(), e->results.end());
+  if (deps != nullptr) deps->assign(e->deps.begin(), e->deps.end());
   bool local = e->admit_query == ctx.query_id;
   e->reuses.fetch_add(1, std::memory_order_relaxed);
   if (local)
@@ -123,21 +130,25 @@ Recycler::SharedHit Recycler::TryExactHitShared(const QueryCtx& ctx,
   return out;
 }
 
-bool Recycler::OnEntryCtx(const QueryCtx& ctx, const InstrView& instr,
-                          std::vector<MalValue>* results) {
+RecyclerHook::Reuse Recycler::OnEntryCtx(const QueryCtx& ctx,
+                                         const InstrView& instr,
+                                         std::vector<MalValue>* results,
+                                         std::vector<ColumnId>* deps) {
   ++stats_.monitored;
   StopWatch match_watch;
 
-  PoolEntry* e = pool_.FindExact(instr.op, *instr.args, ctx.epoch);
+  PoolEntry* e =
+      pool_.FindExact(instr.hash(), instr.op, *instr.args, ctx.epoch);
   if (e != nullptr) {
-    *results = e->results;
+    results->assign(e->results.begin(), e->results.end());
+    if (deps != nullptr) deps->assign(e->deps.begin(), e->deps.end());
     RecordHit(ctx, e, /*exact=*/true);
     stats_.match_ms += match_watch.ElapsedMillis();
-    return true;
+    return kExactHit;
   }
   stats_.match_ms += match_watch.ElapsedMillis();
 
-  if (!cfg_.enable_subsumption) return false;
+  if (!cfg_.enable_subsumption) return kMiss;
 
   std::optional<SubsumeOutcome> outcome;
   StopWatch subsume_watch;
@@ -155,7 +166,7 @@ bool Recycler::OnEntryCtx(const QueryCtx& ctx, const InstrView& instr,
     default:
       break;
   }
-  if (!outcome.has_value()) return false;
+  if (!outcome.has_value()) return kMiss;
 
   double subsumed_exec_ms = subsume_watch.ElapsedMillis();
   ++stats_.hits;
@@ -170,7 +181,7 @@ bool Recycler::OnEntryCtx(const QueryCtx& ctx, const InstrView& instr,
 
   // Account reuse on the sources and classify locality by the closest one.
   bool any_local = false;
-  std::vector<ColumnId> deps;
+  std::vector<ColumnId> source_deps;
   for (PoolEntry* src : outcome->sources) {
     ++src->subsumption_uses;
     src->last_use_seq = ++shared_->clock;
@@ -178,11 +189,12 @@ bool Recycler::OnEntryCtx(const QueryCtx& ctx, const InstrView& instr,
     src->last_query = ctx.query_id;
     any_local |= local;
     for (const ColumnId& d : src->deps) {
-      if (std::find(deps.begin(), deps.end(), d) == deps.end())
-        deps.push_back(d);
+      if (std::find(source_deps.begin(), source_deps.end(), d) ==
+          source_deps.end())
+        source_deps.push_back(d);
     }
   }
-  std::sort(deps.begin(), deps.end());
+  std::sort(source_deps.begin(), source_deps.end());
   if (any_local)
     ++stats_.local_hits;
   else
@@ -200,7 +212,7 @@ bool Recycler::OnEntryCtx(const QueryCtx& ctx, const InstrView& instr,
     if (!src->results.empty() && src->results[0].is_bat())
       source_bats.push_back(src->results[0].bat()->id());
   }
-  AdmitResult(ctx, instr, outcome->results, subsumed_exec_ms, deps,
+  AdmitResult(ctx, instr, outcome->results, subsumed_exec_ms, source_deps,
               outcome->sources);
   if (!outcome->results.empty() && outcome->results[0].is_bat()) {
     for (uint64_t src_bat : source_bats) {
@@ -209,7 +221,7 @@ bool Recycler::OnEntryCtx(const QueryCtx& ctx, const InstrView& instr,
   }
 
   *results = outcome->results;
-  return true;
+  return kSubsumedHit;
 }
 
 void Recycler::OnExitCtx(const QueryCtx& ctx, const InstrView& instr,
@@ -237,7 +249,7 @@ bool Recycler::AdmitResult(const QueryCtx& ctx, const InstrView& instr,
   // matching ambiguous. Deliberately unfiltered by epoch: even an entry the
   // probing snapshot cannot see blocks admission — the pool must never hold
   // two entries under one key with divergent results.
-  if (pool_.FindExact(instr.op, *instr.args) != nullptr) {
+  if (pool_.FindExact(instr.hash(), instr.op, *instr.args) != nullptr) {
     ++stats_.rejected;
     return false;
   }

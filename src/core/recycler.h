@@ -198,7 +198,8 @@ class Recycler : public RecyclerHook {
   // current context; they serve the common one-interpreter-one-recycler case.
   void BeginQuery(const Program& prog) override;
   void EndQuery() override;
-  bool OnEntry(const InstrView& instr, std::vector<MalValue>* results) override;
+  Reuse OnEntry(const InstrView& instr, std::vector<MalValue>* results,
+                std::vector<ColumnId>* deps = nullptr) override;
   void OnExit(const InstrView& instr, const std::vector<MalValue>& results,
               double cpu_ms, const std::vector<ColumnId>& deps) override;
 
@@ -216,8 +217,10 @@ class Recycler : public RecyclerHook {
   /// Unregisters an invocation, releasing its eviction protection.
   void EndQueryCtx(const QueryCtx& ctx);
 
-  bool OnEntryCtx(const QueryCtx& ctx, const InstrView& instr,
-                  std::vector<MalValue>* results);
+  /// Contract as RecyclerHook::OnEntry (exact hits fill `deps` when set).
+  Reuse OnEntryCtx(const QueryCtx& ctx, const InstrView& instr,
+                   std::vector<MalValue>* results,
+                   std::vector<ColumnId>* deps);
   void OnExitCtx(const QueryCtx& ctx, const InstrView& instr,
                  const std::vector<MalValue>& results, double cpu_ms,
                  const std::vector<ColumnId>& deps);
@@ -243,9 +246,12 @@ class Recycler : public RecyclerHook {
   /// concurrent — so CREDIT/ADAPT hits take this path too (the ledger
   /// refund on local reuse is an atomic increment). Aggregate RecyclerStats
   /// are deliberately NOT touched; ConcurrentRecycler accounts the hit on
-  /// its side.
+  /// its side. A hit assigns the entry's results (and, when `deps` is set,
+  /// its dependency set) into the caller's buffers while the caller still
+  /// holds the lock that keeps the entry alive.
   SharedHit TryExactHitShared(const QueryCtx& ctx, const InstrView& instr,
-                              std::vector<MalValue>* results);
+                              std::vector<MalValue>* results,
+                              std::vector<ColumnId>* deps);
 
   // --- update synchronisation (§6) -----------------------------------------
 

@@ -78,11 +78,11 @@ engine::CmpOp CmpOpOf(Opcode op) {
 
 }  // namespace
 
-Result<std::vector<MalValue>> Interpreter::ExecInstr(
-    const Instruction& ins, const std::vector<MalValue>& a,
-    QueryResult* result) {
+Status Interpreter::ExecInstr(const Instruction& ins,
+                              const std::vector<MalValue>& a,
+                              std::vector<MalValue>* out,
+                              QueryResult* result) {
   using namespace engine;  // NOLINT: operator vocabulary
-  std::vector<MalValue> out;
   switch (ins.op) {
     case Opcode::kBind: {
       // With a snapshot pinned, binds resolve against the immutable epoch
@@ -93,7 +93,7 @@ Result<std::vector<MalValue>> Interpreter::ExecInstr(
                                                 a[2].scalar().AsStr())
                         : catalog_->BindColumn(a[1].scalar().AsStr(),
                                                a[2].scalar().AsStr()));
-      out.emplace_back(std::move(b));
+      out->emplace_back(std::move(b));
       break;
     }
     case Opcode::kBindIdx: {
@@ -101,84 +101,84 @@ Result<std::vector<MalValue>> Interpreter::ExecInstr(
           BatPtr b, snapshot_ != nullptr
                         ? snapshot_->BindIndex(a[2].scalar().AsStr())
                         : catalog_->BindIndex(a[2].scalar().AsStr()));
-      out.emplace_back(std::move(b));
+      out->emplace_back(std::move(b));
       break;
     }
     case Opcode::kSelect: {
       RDB_ASSIGN_OR_RETURN(
           BatPtr b, Select(a[0].bat(), a[1].scalar(), a[2].scalar(),
                            a[3].scalar().AsBit(), a[4].scalar().AsBit()));
-      out.emplace_back(std::move(b));
+      out->emplace_back(std::move(b));
       break;
     }
     case Opcode::kUselect: {
       RDB_ASSIGN_OR_RETURN(BatPtr b, Uselect(a[0].bat(), a[1].scalar()));
-      out.emplace_back(std::move(b));
+      out->emplace_back(std::move(b));
       break;
     }
     case Opcode::kAntiUselect: {
       RDB_ASSIGN_OR_RETURN(BatPtr b, AntiUselect(a[0].bat(), a[1].scalar()));
-      out.emplace_back(std::move(b));
+      out->emplace_back(std::move(b));
       break;
     }
     case Opcode::kLikeSelect: {
       RDB_ASSIGN_OR_RETURN(BatPtr b,
                            LikeSelect(a[0].bat(), a[1].scalar().AsStr()));
-      out.emplace_back(std::move(b));
+      out->emplace_back(std::move(b));
       break;
     }
     case Opcode::kSelectNotNil: {
       RDB_ASSIGN_OR_RETURN(BatPtr b, SelectNotNil(a[0].bat()));
-      out.emplace_back(std::move(b));
+      out->emplace_back(std::move(b));
       break;
     }
     case Opcode::kJoin: {
       RDB_ASSIGN_OR_RETURN(BatPtr b, Join(a[0].bat(), a[1].bat()));
-      out.emplace_back(std::move(b));
+      out->emplace_back(std::move(b));
       break;
     }
     case Opcode::kSemijoin: {
       RDB_ASSIGN_OR_RETURN(BatPtr b, Semijoin(a[0].bat(), a[1].bat()));
-      out.emplace_back(std::move(b));
+      out->emplace_back(std::move(b));
       break;
     }
     case Opcode::kAntiSemijoin: {
       RDB_ASSIGN_OR_RETURN(BatPtr b, AntiSemijoin(a[0].bat(), a[1].bat()));
-      out.emplace_back(std::move(b));
+      out->emplace_back(std::move(b));
       break;
     }
     case Opcode::kMarkT:
-      out.emplace_back(MarkT(a[0].bat(), a[1].scalar().AsOid()));
+      out->emplace_back(MarkT(a[0].bat(), a[1].scalar().AsOid()));
       break;
     case Opcode::kReverse:
-      out.emplace_back(Reverse(a[0].bat()));
+      out->emplace_back(Reverse(a[0].bat()));
       break;
     case Opcode::kMirror:
-      out.emplace_back(Mirror(a[0].bat()));
+      out->emplace_back(Mirror(a[0].bat()));
       break;
     case Opcode::kSlice: {
       RDB_ASSIGN_OR_RETURN(
           BatPtr b,
           Slice(a[0].bat(), static_cast<size_t>(a[1].scalar().AsLng()),
                 static_cast<size_t>(a[2].scalar().AsLng())));
-      out.emplace_back(std::move(b));
+      out->emplace_back(std::move(b));
       break;
     }
     case Opcode::kKunique: {
       RDB_ASSIGN_OR_RETURN(BatPtr b, Kunique(a[0].bat()));
-      out.emplace_back(std::move(b));
+      out->emplace_back(std::move(b));
       break;
     }
     case Opcode::kGroupBy: {
       RDB_ASSIGN_OR_RETURN(GroupResult g, GroupBy(a[0].bat()));
-      out.emplace_back(std::move(g.map));
-      out.emplace_back(std::move(g.reps));
+      out->emplace_back(std::move(g.map));
+      out->emplace_back(std::move(g.reps));
       break;
     }
     case Opcode::kSubGroupBy: {
       RDB_ASSIGN_OR_RETURN(GroupResult g, SubGroupBy(a[0].bat(), a[1].bat()));
-      out.emplace_back(std::move(g.map));
-      out.emplace_back(std::move(g.reps));
+      out->emplace_back(std::move(g.map));
+      out->emplace_back(std::move(g.reps));
       break;
     }
     case Opcode::kAggrCount:
@@ -187,7 +187,7 @@ Result<std::vector<MalValue>> Interpreter::ExecInstr(
     case Opcode::kAggrMax:
     case Opcode::kAggrAvg: {
       RDB_ASSIGN_OR_RETURN(Scalar s, Aggr(AggFnOf(ins.op), a[0].bat()));
-      out.emplace_back(std::move(s));
+      out->emplace_back(std::move(s));
       break;
     }
     case Opcode::kGrpCount:
@@ -198,7 +198,7 @@ Result<std::vector<MalValue>> Interpreter::ExecInstr(
       RDB_ASSIGN_OR_RETURN(
           BatPtr b, GroupedAggr(AggFnOf(ins.op), a[0].bat(), a[1].bat(),
                                 a[2].bat()->size()));
-      out.emplace_back(std::move(b));
+      out->emplace_back(std::move(b));
       break;
     }
     case Opcode::kCalcAdd:
@@ -214,12 +214,12 @@ Result<std::vector<MalValue>> Interpreter::ExecInstr(
         return Status::InvalidArgument("calc needs at least one bat operand");
       }();
       if (!r.ok()) return r.status();
-      out.emplace_back(std::move(r).value());
+      out->emplace_back(std::move(r).value());
       break;
     }
     case Opcode::kCalcYear: {
       RDB_ASSIGN_OR_RETURN(BatPtr b, CalcYear(a[0].bat()));
-      out.emplace_back(std::move(b));
+      out->emplace_back(std::move(b));
       break;
     }
     case Opcode::kCmpEq:
@@ -230,29 +230,29 @@ Result<std::vector<MalValue>> Interpreter::ExecInstr(
     case Opcode::kCmpGe: {
       RDB_ASSIGN_OR_RETURN(BatPtr b,
                            CalcCmp(CmpOpOf(ins.op), a[0].bat(), a[1].bat()));
-      out.emplace_back(std::move(b));
+      out->emplace_back(std::move(b));
       break;
     }
     case Opcode::kSortTail: {
       RDB_ASSIGN_OR_RETURN(BatPtr b, SortTail(a[0].bat()));
-      out.emplace_back(std::move(b));
+      out->emplace_back(std::move(b));
       break;
     }
     case Opcode::kSortTailRev: {
       RDB_ASSIGN_OR_RETURN(BatPtr b, SortTailRev(a[0].bat()));
-      out.emplace_back(std::move(b));
+      out->emplace_back(std::move(b));
       break;
     }
     case Opcode::kScalarMul:
-      out.emplace_back(
+      out->emplace_back(
           Scalar::Dbl(a[0].scalar().ToDouble() * a[1].scalar().ToDouble()));
       break;
     case Opcode::kAddMonths:
-      out.emplace_back(Scalar::DateVal(
+      out->emplace_back(Scalar::DateVal(
           AddMonths(a[0].scalar().AsDate(), a[1].scalar().AsInt())));
       break;
     case Opcode::kAddDays:
-      out.emplace_back(Scalar::DateVal(
+      out->emplace_back(Scalar::DateVal(
           AddDays(a[0].scalar().AsDate(), a[1].scalar().AsInt())));
       break;
     case Opcode::kExportValue:
@@ -262,88 +262,113 @@ Result<std::vector<MalValue>> Interpreter::ExecInstr(
       result->values.emplace_back(a[1].scalar().AsStr(), a[0]);
       break;
   }
-  return out;
+  return Status::OK();
+}
+
+void Interpreter::ComputeDeps(const Instruction& ins) {
+  // Results derive from all bat arguments plus whatever the instruction
+  // touches directly (bind/bindIdx).
+  instr_deps_.clear();
+  for (uint16_t ai : ins.args) MergeDeps(&instr_deps_, deps_[ai]);
+  if (ins.op == Opcode::kBind) {
+    auto cid = snapshot_ != nullptr
+                   ? snapshot_->GetColumnId(args_[1].scalar().AsStr(),
+                                            args_[2].scalar().AsStr())
+                   : catalog_->GetColumnId(args_[1].scalar().AsStr(),
+                                           args_[2].scalar().AsStr());
+    if (cid.ok()) instr_deps_.push_back(cid.value());
+  } else if (ins.op == Opcode::kBindIdx) {
+    auto cid = snapshot_ != nullptr
+                   ? snapshot_->GetIndexId(args_[2].scalar().AsStr())
+                   : catalog_->GetIndexId(args_[2].scalar().AsStr());
+    if (cid.ok()) instr_deps_.push_back(cid.value());
+  }
+  std::sort(instr_deps_.begin(), instr_deps_.end());
+  instr_deps_.erase(std::unique(instr_deps_.begin(), instr_deps_.end()),
+                    instr_deps_.end());
 }
 
 Result<QueryResult> Interpreter::Run(const Program& prog,
                                      const std::vector<Scalar>& params) {
-  if (static_cast<int>(params.size()) != prog.num_params)
-    return Status::InvalidArgument("parameter count mismatch");
+  // Every exit — rejected, failed or complete — resets the stats first and
+  // records the wall time last, so a caller never reads the figures of an
+  // earlier query.
   StopWatch total;
   last_run_ = RunStats();
+  Result<QueryResult> r = Execute(prog, params);
+  // Empty the reused buffers, keeping their capacity: no BAT outlives its
+  // query here, and a warm interpreter allocates nothing per instruction.
+  stack_.clear();
+  args_.clear();
+  rets_.clear();
+  instr_deps_.clear();
+  const size_t used = std::min(deps_.size(), prog.vars.size());
+  for (size_t i = 0; i < used; ++i) deps_[i].clear();
+  last_run_.wall_ms = total.ElapsedMillis();
+  return r;
+}
 
-  std::vector<MalValue> stack(prog.vars.size());
-  std::vector<std::vector<ColumnId>> deps(prog.vars.size());
+Result<QueryResult> Interpreter::Execute(const Program& prog,
+                                         const std::vector<Scalar>& params) {
+  if (static_cast<int>(params.size()) != prog.num_params)
+    return Status::InvalidArgument("parameter count mismatch");
+
+  // The dependency slots keep their (cleared) inner vectors across runs, so
+  // only a larger template than any before grows them.
+  stack_.resize(prog.vars.size());
+  if (deps_.size() < prog.vars.size()) deps_.resize(prog.vars.size());
   for (size_t i = 0; i < prog.vars.size(); ++i) {
-    if (prog.vars[i].is_const) stack[i] = prog.vars[i].const_val;
+    if (prog.vars[i].is_const) stack_[i] = prog.vars[i].const_val;
   }
-  for (int i = 0; i < prog.num_params; ++i) stack[i] = params[i];
+  for (int i = 0; i < prog.num_params; ++i) stack_[i] = params[i];
 
   QueryResult result;
   if (recycler_) recycler_->BeginQuery(prog);
 
-  std::vector<MalValue> args;
   for (size_t pc = 0; pc < prog.instrs.size(); ++pc) {
     const Instruction& ins = prog.instrs[pc];
-    args.clear();
-    for (uint16_t ai : ins.args) args.push_back(stack[ai]);
-
-    // Dependency propagation: results derive from all bat arguments plus
-    // whatever the instruction touches directly (bind/bindIdx).
-    std::vector<ColumnId> instr_deps;
-    for (uint16_t ai : ins.args) MergeDeps(&instr_deps, deps[ai]);
-    if (ins.op == Opcode::kBind) {
-      auto cid = snapshot_ != nullptr
-                     ? snapshot_->GetColumnId(args[1].scalar().AsStr(),
-                                              args[2].scalar().AsStr())
-                     : catalog_->GetColumnId(args[1].scalar().AsStr(),
-                                             args[2].scalar().AsStr());
-      if (cid.ok()) instr_deps.push_back(cid.value());
-    } else if (ins.op == Opcode::kBindIdx) {
-      auto cid = snapshot_ != nullptr
-                     ? snapshot_->GetIndexId(args[2].scalar().AsStr())
-                     : catalog_->GetIndexId(args[2].scalar().AsStr());
-      if (cid.ok()) instr_deps.push_back(cid.value());
-    }
-    std::sort(instr_deps.begin(), instr_deps.end());
-    instr_deps.erase(std::unique(instr_deps.begin(), instr_deps.end()),
-                     instr_deps.end());
+    args_.clear();
+    for (uint16_t ai : ins.args) args_.push_back(stack_[ai]);
+    rets_.clear();
 
     ++last_run_.instrs;
-    RecyclerHook::InstrView view{&prog, static_cast<int>(pc), ins.op, &args};
-
-    std::vector<MalValue> rets;
-    bool reused = false;
-    if (recycler_ && ins.monitored) {
+    RecyclerHook::InstrView view{&prog, static_cast<int>(pc), ins.op, &args_};
+    const bool monitored = recycler_ != nullptr && ins.monitored;
+    RecyclerHook::Reuse reuse = RecyclerHook::kMiss;
+    if (monitored) {
       ++last_run_.monitored;
-      reused = recycler_->OnEntry(view, &rets);
-      if (reused) ++last_run_.pool_hits;
+      // One hash per instruction: it picks the stripe and keys the probe.
+      view.match_hash = MatchHash(ins.op, args_);
+      reuse = recycler_->OnEntry(view, &rets_, &instr_deps_);
+      if (reuse != RecyclerHook::kMiss) ++last_run_.pool_hits;
     }
-    if (!reused) {
+    // Dependency propagation feeds admission only, through the results'
+    // slots. An exact hit already copied the entry's set into instr_deps_;
+    // every other instruction with results computes it.
+    if (recycler_ != nullptr && reuse != RecyclerHook::kExactHit &&
+        !ins.rets.empty())
+      ComputeDeps(ins);
+    if (reuse == RecyclerHook::kMiss) {
       StopWatch sw;
-      auto r = ExecInstr(ins, args, &result);
-      if (!r.ok()) {
+      Status st = ExecInstr(ins, args_, &rets_, &result);
+      if (!st.ok()) {
         if (recycler_) recycler_->EndQuery();
-        return r.status();
+        return st;
       }
-      rets = std::move(r).value();
       double ms = sw.ElapsedMillis();
       last_run_.exec_ms += ms;
       if (ins.monitored) last_run_.monitored_exec_ms += ms;
-      if (recycler_ && ins.monitored) {
-        recycler_->OnExit(view, rets, ms, instr_deps);
-      }
+      if (monitored) recycler_->OnExit(view, rets_, ms, instr_deps_);
     }
 
-    RDB_CHECK(rets.size() == ins.rets.size());
-    for (size_t k = 0; k < rets.size(); ++k) {
-      stack[ins.rets[k]] = std::move(rets[k]);
-      deps[ins.rets[k]] = instr_deps;
+    RDB_CHECK(rets_.size() == ins.rets.size());
+    for (size_t k = 0; k < rets_.size(); ++k) {
+      stack_[ins.rets[k]] = std::move(rets_[k]);
+      deps_[ins.rets[k]] = instr_deps_;
     }
   }
 
   if (recycler_) recycler_->EndQuery();
-  last_run_.wall_ms = total.ElapsedMillis();
   return result;
 }
 

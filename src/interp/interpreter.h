@@ -45,14 +45,31 @@ class Interpreter {
   const RunStats& last_run() const { return last_run_; }
 
  private:
-  Result<std::vector<MalValue>> ExecInstr(const Instruction& ins,
-                                          const std::vector<MalValue>& args,
-                                          QueryResult* result);
+  /// The body of Run(): everything but the stats reset, the buffer release
+  /// and the wall clock, which Run() does on every exit.
+  Result<QueryResult> Execute(const Program& prog,
+                              const std::vector<Scalar>& params);
+  /// Executes one instruction, appending its results to `out`.
+  Status ExecInstr(const Instruction& ins, const std::vector<MalValue>& args,
+                   std::vector<MalValue>* out, QueryResult* result);
+  /// Computes the dependency set of `ins` (arguments in args_) into
+  /// instr_deps_.
+  void ComputeDeps(const Instruction& ins);
 
   Catalog* catalog_;
   RecyclerHook* recycler_;
   const CatalogSnapshot* snapshot_ = nullptr;
   RunStats last_run_;
+
+  // Per-run working buffers, members so their capacity survives across runs
+  // and a warm exact-hit instruction allocates nothing. Run() empties them
+  // on every exit. stack_ and deps_ are indexed by program variable; args_,
+  // rets_ and instr_deps_ hold the current instruction's.
+  std::vector<MalValue> stack_;
+  std::vector<std::vector<ColumnId>> deps_;
+  std::vector<MalValue> args_;
+  std::vector<MalValue> rets_;
+  std::vector<ColumnId> instr_deps_;
 };
 
 }  // namespace recycledb

@@ -3,9 +3,11 @@
 
 #include <string>
 #include <variant>
+#include <vector>
 
 #include "bat/bat.h"
 #include "bat/scalar.h"
+#include "mal/opcode.h"
 
 namespace recycledb {
 
@@ -46,6 +48,18 @@ class MalValue {
  private:
   std::variant<Scalar, BatPtr> v_;
 };
+
+/// The recycler's exact-match key hash over (opcode, argument values):
+/// instructions whose opcodes are equal and whose arguments are MatchEq
+/// pairwise hash equally. The interpreter computes it once per monitored
+/// instruction; the recycle pool indexes its entries by it.
+inline size_t MatchHash(Opcode op, const std::vector<MalValue>& args) {
+  size_t h = static_cast<size_t>(op) * 0x9e3779b97f4a7c15ULL + 0x1234567;
+  for (const MalValue& a : args) {
+    h ^= a.MatchHash() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  }
+  return h;
+}
 
 }  // namespace recycledb
 
