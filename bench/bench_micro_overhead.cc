@@ -1,11 +1,13 @@
 // Micro-benchmarks for the §3.3 claim that run-time matching adds
 // negligible overhead (< 1 microsecond per interpreted instruction in the
-// paper's setting). Uses google-benchmark.
+// paper's setting), for the SQL front end that runs before every statement,
+// and for the vectorised kernels. Uses google-benchmark.
 
 #include <benchmark/benchmark.h>
 
 #include "bat/hash_index.h"
 #include "bench/bench_common.h"
+#include "bench/sql_patterns.h"
 #include "core/concurrent_recycler.h"
 #include "core/recycler_optimizer.h"
 #include "engine/operators.h"
@@ -13,6 +15,10 @@
 #include "engine/vec/hashprobe.h"
 #include "mal/plan_builder.h"
 #include "obs/trace.h"
+#include "server/plan_cache.h"
+#include "sql/lexer.h"
+#include "sql/parser.h"
+#include "sql/planner.h"
 #include "util/check.h"
 
 namespace {
@@ -180,6 +186,68 @@ void BM_SessionTrace(benchmark::State& state) {
   state.counters["hits"] = static_cast<double>(rec.stats().hits);
 }
 BENCHMARK(BM_SessionTrace)->Arg(0)->Arg(64)->Arg(1);
+
+// ---------------------------------------------------------------------------
+// SQL front end: the per-statement path in front of the interpreter,
+// over the six rdbbench SELECT patterns. Each row reports ns_per_stmt:
+//  - lex: sql::Lex;
+//  - parse: sql::ParseStatement (lexing included);
+//  - fingerprint: sql::Fingerprint of a parsed statement;
+//  - plan_hit: Fingerprint + PlanCache::Lookup (a hit) + sql::BindLiterals,
+//    what the service runs between parsing and enqueueing a cached plan.
+// ---------------------------------------------------------------------------
+
+enum class FrontEndStage { kLex, kParse, kFingerprint, kPlanHit };
+
+void BM_SqlFrontEnd(benchmark::State& state, FrontEndStage stage) {
+  std::vector<std::string> texts(std::begin(kRdbbenchPatterns),
+                                 std::end(kRdbbenchPatterns));
+  std::vector<sql::SelectStmt> stmts;
+  PlanCache cache;
+  if (stage == FrontEndStage::kFingerprint ||
+      stage == FrontEndStage::kPlanHit) {
+    auto cat = MakeTpchDb(0.001);
+    for (const std::string& text : texts) {
+      auto q = sql::CompileSql(cat.get(), text);
+      RDB_CHECK(q.ok());
+      PlanCache::Entry e;
+      e.prog = std::make_shared<const Program>(std::move(q.value().plan.prog));
+      e.param_types = std::move(q.value().plan.param_types);
+      cache.Insert(q.value().fingerprint, std::move(e));
+      stmts.push_back(std::move(sql::ParseSelect(text).value()));
+    }
+  }
+  StopWatch sw;
+  for (auto _ : state) {
+    for (size_t i = 0; i < texts.size(); ++i) {
+      switch (stage) {
+        case FrontEndStage::kLex:
+          benchmark::DoNotOptimize(sql::Lex(texts[i]));
+          break;
+        case FrontEndStage::kParse:
+          benchmark::DoNotOptimize(sql::ParseStatement(texts[i]));
+          break;
+        case FrontEndStage::kFingerprint:
+          benchmark::DoNotOptimize(sql::Fingerprint(stmts[i]));
+          break;
+        case FrontEndStage::kPlanHit: {
+          PlanCache::EntryPtr entry = cache.Lookup(sql::Fingerprint(stmts[i]));
+          RDB_CHECK(entry != nullptr);
+          benchmark::DoNotOptimize(
+              sql::BindLiterals(stmts[i], entry->param_types));
+          break;
+        }
+      }
+    }
+  }
+  const double ns = static_cast<double>(sw.ElapsedNanos());
+  state.counters["ns_per_stmt"] =
+      ns / (static_cast<double>(state.iterations()) * texts.size());
+}
+BENCHMARK_CAPTURE(BM_SqlFrontEnd, lex, FrontEndStage::kLex);
+BENCHMARK_CAPTURE(BM_SqlFrontEnd, parse, FrontEndStage::kParse);
+BENCHMARK_CAPTURE(BM_SqlFrontEnd, fingerprint, FrontEndStage::kFingerprint);
+BENCHMARK_CAPTURE(BM_SqlFrontEnd, plan_hit, FrontEndStage::kPlanHit);
 
 // ---------------------------------------------------------------------------
 // Vectorised kernels against the retained scalar reference loops

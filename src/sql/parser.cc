@@ -81,73 +81,55 @@ bool IsAggTok(Tok k) {
          k == Tok::kMax || k == Tok::kAvg;
 }
 
+/// Recursive-descent parser over one statement's tokens. Every clause
+/// parses into the node its caller already placed in the AST (no node is
+/// built aside and moved in), and identifier and string text moves out of
+/// the tokens it consumes. On an error the half-built statement is
+/// discarded by the caller.
 class Parser {
  public:
   Parser(std::vector<Token> toks, const std::string& text)
       : toks_(std::move(toks)), text_(text) {}
 
-  Result<Statement> ParseAny() {
-    Statement stmt;
+  Status ParseAny(Statement* stmt) {
     switch (Cur().kind) {
-      case Tok::kInsert: {
-        stmt.kind = Statement::Kind::kInsert;
-        RDB_ASSIGN_OR_RETURN(stmt.insert, ParseInsert());
-        return stmt;
-      }
-      case Tok::kDelete: {
-        stmt.kind = Statement::Kind::kDelete;
-        RDB_ASSIGN_OR_RETURN(stmt.del, ParseDelete());
-        return stmt;
-      }
-      case Tok::kUpdate: {
-        stmt.kind = Statement::Kind::kUpdate;
-        RDB_ASSIGN_OR_RETURN(stmt.update, ParseUpdate());
-        return stmt;
-      }
-      case Tok::kBegin: {
-        Advance();
-        if (Cur().kind != Tok::kEof) return Error("end of statement");
-        stmt.kind = Statement::Kind::kBegin;
-        return stmt;
-      }
-      case Tok::kCommit: {
-        Advance();
-        if (Cur().kind != Tok::kEof) return Error("end of statement");
-        stmt.kind = Statement::Kind::kCommit;
-        return stmt;
-      }
-      case Tok::kRollback: {
-        Advance();
-        if (Cur().kind != Tok::kEof) return Error("end of statement");
-        stmt.kind = Statement::Kind::kRollback;
-        return stmt;
-      }
-      case Tok::kTrace: {
+      case Tok::kInsert:
+        stmt->kind = Statement::Kind::kInsert;
+        return ParseInsert(&stmt->insert);
+      case Tok::kDelete:
+        stmt->kind = Statement::Kind::kDelete;
+        return ParseDelete(&stmt->del);
+      case Tok::kUpdate:
+        stmt->kind = Statement::Kind::kUpdate;
+        return ParseUpdate(&stmt->update);
+      case Tok::kBegin:
+        return ParseKeywordOnly(Statement::Kind::kBegin, stmt);
+      case Tok::kCommit:
+        return ParseKeywordOnly(Statement::Kind::kCommit, stmt);
+      case Tok::kRollback:
+        return ParseKeywordOnly(Statement::Kind::kRollback, stmt);
+      case Tok::kTrace:
         // TRACE prefixes a SELECT only: DML runs under the exclusive update
         // lock where the per-instruction recycler hook never fires.
         Advance();
         if (Cur().kind != Tok::kSelect)
           return Error("SELECT after TRACE (only SELECT can be traced)");
-        stmt.kind = Statement::Kind::kSelect;
-        stmt.traced = true;
-        RDB_ASSIGN_OR_RETURN(stmt.select, Parse());
-        return stmt;
-      }
-      default: {
-        stmt.kind = Statement::Kind::kSelect;
-        RDB_ASSIGN_OR_RETURN(stmt.select, Parse());
-        return stmt;
-      }
+        stmt->kind = Statement::Kind::kSelect;
+        stmt->traced = true;
+        return Parse(&stmt->select);
+      default:
+        stmt->kind = Statement::Kind::kSelect;
+        return Parse(&stmt->select);
     }
   }
 
-  Result<SelectStmt> Parse() {
-    SelectStmt stmt;
+  Status Parse(SelectStmt* stmt) {
     RDB_RETURN_NOT_OK(Expect(Tok::kSelect, "SELECT"));
 
     // select list
+    stmt->items.reserve(1 + CountAhead(Tok::kComma, Tok::kFrom));
     while (true) {
-      SelectItem item;
+      SelectItem& item = stmt->items.emplace_back();
       if (Cur().kind == Tok::kStar) {
         Advance();
         item.expr = std::make_unique<Expr>();
@@ -156,52 +138,42 @@ class Parser {
         RDB_ASSIGN_OR_RETURN(item.expr, ParseExpr());
         if (Accept(Tok::kAs)) {
           if (Cur().kind != Tok::kIdent) return Error("alias after AS");
-          item.alias = Cur().text;
-          Advance();
+          item.alias = TakeText();
         } else if (Cur().kind == Tok::kIdent) {
-          item.alias = Cur().text;
-          Advance();
+          item.alias = TakeText();
         }
       }
-      stmt.items.push_back(std::move(item));
       if (!Accept(Tok::kComma)) break;
     }
 
     // FROM table [alias] (INNER? JOIN table [alias] ON a = b)*
     RDB_RETURN_NOT_OK(Expect(Tok::kFrom, "FROM"));
-    RDB_RETURN_NOT_OK(ParseTableRef(&stmt.table, &stmt.alias));
+    RDB_RETURN_NOT_OK(ParseTableRef(&stmt->table, &stmt->alias));
+    stmt->joins.reserve(CountAhead(Tok::kJoin, Tok::kWhere));
     while (Cur().kind == Tok::kInner || Cur().kind == Tok::kJoin) {
       bool had_inner = Accept(Tok::kInner);
       if (had_inner && Cur().kind != Tok::kJoin) return Error("JOIN");
       RDB_RETURN_NOT_OK(Expect(Tok::kJoin, "JOIN"));
-      JoinClause j;
+      JoinClause& j = stmt->joins.emplace_back();
       RDB_RETURN_NOT_OK(ParseTableRef(&j.table, &j.alias));
       RDB_RETURN_NOT_OK(Expect(Tok::kOn, "ON"));
-      RDB_ASSIGN_OR_RETURN(j.left, ParseColumnRef());
+      RDB_RETURN_NOT_OK(ParseColumnRef(&j.left));
       RDB_RETURN_NOT_OK(Expect(Tok::kEq, "'=' in join condition"));
-      RDB_ASSIGN_OR_RETURN(j.right, ParseColumnRef());
-      stmt.joins.push_back(std::move(j));
+      RDB_RETURN_NOT_OK(ParseColumnRef(&j.right));
     }
     if (Cur().kind == Tok::kComma)
       return Status::NotImplemented(
           "comma-separated FROM lists are not supported; use INNER JOIN ... ON "
           "over a registered foreign-key index");
 
-    // WHERE conjunction
-    if (Accept(Tok::kWhere)) {
-      while (true) {
-        RDB_ASSIGN_OR_RETURN(Predicate p, ParsePredicate());
-        stmt.where.push_back(std::move(p));
-        if (!Accept(Tok::kAnd)) break;
-      }
-    }
+    RDB_RETURN_NOT_OK(ParseWhere(&stmt->where));
 
     // GROUP BY
     if (Accept(Tok::kGroup)) {
       RDB_RETURN_NOT_OK(Expect(Tok::kBy, "BY after GROUP"));
+      stmt->group_by.reserve(1 + CountAhead(Tok::kComma, Tok::kOrder));
       while (true) {
-        RDB_ASSIGN_OR_RETURN(ColumnRef c, ParseColumnRef());
-        stmt.group_by.push_back(std::move(c));
+        RDB_RETURN_NOT_OK(ParseColumnRef(&stmt->group_by.emplace_back()));
         if (!Accept(Tok::kComma)) break;
       }
     }
@@ -209,15 +181,16 @@ class Parser {
     // ORDER BY
     if (Accept(Tok::kOrder)) {
       RDB_RETURN_NOT_OK(Expect(Tok::kBy, "BY after ORDER"));
-      RDB_ASSIGN_OR_RETURN(ColumnRef c, ParseColumnRef());
+      ColumnRef c;
+      RDB_RETURN_NOT_OK(ParseColumnRef(&c));
       if (!c.table.empty())
         return Status::InvalidArgument(
             "ORDER BY takes an unqualified select-item label, not '" +
             c.ToString() + "'");
-      stmt.order_by.present = true;
-      stmt.order_by.name = c.column;  // matched against select-item labels
+      stmt->order_by.present = true;
+      stmt->order_by.name = std::move(c.column);  // matched against labels
       if (Accept(Tok::kDesc))
-        stmt.order_by.asc = false;
+        stmt->order_by.asc = false;
       else
         Accept(Tok::kAsc);
     }
@@ -225,12 +198,12 @@ class Parser {
     // LIMIT
     if (Accept(Tok::kLimit)) {
       if (Cur().kind != Tok::kInt) return Error("integer after LIMIT");
-      stmt.limit = Cur().ival;
+      stmt->limit = Cur().ival;
       Advance();
     }
 
     if (Cur().kind != Tok::kEof) return Error("end of statement");
-    return stmt;
+    return Status::OK();
   }
 
  private:
@@ -248,6 +221,23 @@ class Parser {
     Advance();
     return Status::OK();
   }
+  /// Moves the text out of the current (identifier or string) token, which
+  /// is consumed: no error message reports a token behind the cursor.
+  std::string TakeText() {
+    std::string text = std::move(toks_[p_].text);
+    Advance();
+    return text;
+  }
+  /// The number of `k` tokens from the cursor up to the first `stop` token
+  /// or the end of input. An upper bound on list lengths, for reserving
+  /// AST vectors before the list is parsed.
+  size_t CountAhead(Tok k, Tok stop) const {
+    size_t count = 0;
+    for (size_t i = p_; toks_[i].kind != stop && toks_[i].kind != Tok::kEof;
+         ++i)
+      count += toks_[i].kind == k;
+    return count;
+  }
   Status Error(const char* what) const {
     return Status::InvalidArgument(
         StrFormat("parse error at %s: expected %s, got %s",
@@ -255,19 +245,24 @@ class Parser {
                   TokenToString(Cur()).c_str()));
   }
 
+  // BEGIN, COMMIT, ROLLBACK: the keyword alone.
+  Status ParseKeywordOnly(Statement::Kind kind, Statement* stmt) {
+    Advance();
+    if (Cur().kind != Tok::kEof) return Error("end of statement");
+    stmt->kind = kind;
+    return Status::OK();
+  }
+
   // INSERT INTO t [(col, ...)] VALUES (lit, ...) [, (lit, ...)]*
-  Result<InsertStmt> ParseInsert() {
-    InsertStmt stmt;
+  Status ParseInsert(InsertStmt* stmt) {
     RDB_RETURN_NOT_OK(Expect(Tok::kInsert, "INSERT"));
     RDB_RETURN_NOT_OK(Expect(Tok::kInto, "INTO after INSERT"));
     if (Cur().kind != Tok::kIdent) return Error("table name");
-    stmt.table = Cur().text;
-    Advance();
+    stmt->table = TakeText();
     if (Accept(Tok::kLParen)) {
       while (true) {
         if (Cur().kind != Tok::kIdent) return Error("column name");
-        stmt.columns.push_back(Cur().text);
-        Advance();
+        stmt->columns.push_back(TakeText());
         if (!Accept(Tok::kComma)) break;
       }
       RDB_RETURN_NOT_OK(Expect(Tok::kRParen, "')' after column list"));
@@ -275,66 +270,60 @@ class Parser {
     RDB_RETURN_NOT_OK(Expect(Tok::kValues, "VALUES"));
     while (true) {
       RDB_RETURN_NOT_OK(Expect(Tok::kLParen, "'(' before a VALUES row"));
-      std::vector<Literal> row;
+      std::vector<Literal>& row = stmt->rows.emplace_back();
       while (true) {
-        RDB_ASSIGN_OR_RETURN(Literal lit, ParseLiteral());
-        row.push_back(std::move(lit));
+        RDB_RETURN_NOT_OK(ParseLiteral(&row.emplace_back()));
         if (!Accept(Tok::kComma)) break;
       }
       RDB_RETURN_NOT_OK(Expect(Tok::kRParen, "')' after a VALUES row"));
-      stmt.rows.push_back(std::move(row));
       if (!Accept(Tok::kComma)) break;
     }
     if (Cur().kind != Tok::kEof) return Error("end of statement");
-    return stmt;
+    return Status::OK();
   }
 
   // DELETE FROM t [alias] [WHERE conjunct (AND conjunct)*]
-  Result<DeleteStmt> ParseDelete() {
-    DeleteStmt stmt;
+  Status ParseDelete(DeleteStmt* stmt) {
     RDB_RETURN_NOT_OK(Expect(Tok::kDelete, "DELETE"));
     RDB_RETURN_NOT_OK(Expect(Tok::kFrom, "FROM after DELETE"));
-    RDB_RETURN_NOT_OK(ParseTableRef(&stmt.table, &stmt.alias));
-    if (Accept(Tok::kWhere)) {
-      while (true) {
-        RDB_ASSIGN_OR_RETURN(Predicate p, ParsePredicate());
-        stmt.where.push_back(std::move(p));
-        if (!Accept(Tok::kAnd)) break;
-      }
-    }
+    RDB_RETURN_NOT_OK(ParseTableRef(&stmt->table, &stmt->alias));
+    RDB_RETURN_NOT_OK(ParseWhere(&stmt->where));
     if (Cur().kind != Tok::kEof) return Error("end of statement");
-    return stmt;
+    return Status::OK();
   }
 
   // UPDATE t [alias] SET col = expr (, col = expr)* [WHERE ...]
-  Result<UpdateStmt> ParseUpdate() {
-    UpdateStmt stmt;
+  Status ParseUpdate(UpdateStmt* stmt) {
     RDB_RETURN_NOT_OK(Expect(Tok::kUpdate, "UPDATE"));
-    RDB_RETURN_NOT_OK(ParseTableRef(&stmt.table, &stmt.alias));
+    RDB_RETURN_NOT_OK(ParseTableRef(&stmt->table, &stmt->alias));
     RDB_RETURN_NOT_OK(Expect(Tok::kSet, "SET after UPDATE table"));
     while (true) {
-      UpdateStmt::SetClause sc;
       if (Cur().kind != Tok::kIdent) return Error("column name in SET");
-      sc.column = Cur().text;
-      Advance();
+      UpdateStmt::SetClause& sc = stmt->sets.emplace_back();
+      sc.column = TakeText();
       RDB_RETURN_NOT_OK(Expect(Tok::kEq, "'=' in SET clause"));
       RDB_ASSIGN_OR_RETURN(sc.value, ParseExpr());
       if (sc.value->kind == Expr::Kind::kAggregate ||
           sc.value->kind == Expr::Kind::kStar)
         return Status::NotImplemented(
             "SET expressions are column/literal arithmetic only");
-      stmt.sets.push_back(std::move(sc));
       if (!Accept(Tok::kComma)) break;
     }
-    if (Accept(Tok::kWhere)) {
-      while (true) {
-        RDB_ASSIGN_OR_RETURN(Predicate p, ParsePredicate());
-        stmt.where.push_back(std::move(p));
-        if (!Accept(Tok::kAnd)) break;
-      }
-    }
+    RDB_RETURN_NOT_OK(ParseWhere(&stmt->where));
     if (Cur().kind != Tok::kEof) return Error("end of statement");
-    return stmt;
+    return Status::OK();
+  }
+
+  // [WHERE conjunct (AND conjunct)*]
+  Status ParseWhere(std::vector<Predicate>* where) {
+    if (!Accept(Tok::kWhere)) return Status::OK();
+    // Every AND before GROUP BY is a conjunct separator or the AND of a
+    // BETWEEN, so this bounds the conjunct count from above.
+    where->reserve(1 + CountAhead(Tok::kAnd, Tok::kGroup));
+    while (true) {
+      RDB_RETURN_NOT_OK(ParsePredicate(&where->emplace_back()));
+      if (!Accept(Tok::kAnd)) return Status::OK();
+    }
   }
 
   /// SQL's join modifiers are not lexer keywords; left unreserved they
@@ -347,63 +336,66 @@ class Parser {
 
   Status ParseTableRef(std::string* table, std::string* alias) {
     if (Cur().kind != Tok::kIdent) return Error("table name");
-    *table = Cur().text;
-    Advance();
+    *table = TakeText();
     if (Accept(Tok::kAs)) {
       if (Cur().kind != Tok::kIdent) return Error("alias after AS");
-      *alias = Cur().text;
-      Advance();
+      *alias = TakeText();
     } else if (Cur().kind == Tok::kIdent) {
       if (IsJoinModifier(Cur().text))
         return Status::NotImplemented(
             "only INNER JOIN is supported (got '" + Cur().text + "')");
-      *alias = Cur().text;
-      Advance();
+      *alias = TakeText();
     }
     return Status::OK();
   }
 
-  Result<ColumnRef> ParseColumnRef() {
+  Status ParseColumnRef(ColumnRef* c) {
     if (Cur().kind != Tok::kIdent) return Error("column name");
-    ColumnRef c;
-    c.column = Cur().text;
-    Advance();
+    c->column = TakeText();
     if (Accept(Tok::kDot)) {
       if (Cur().kind != Tok::kIdent) return Error("column after '.'");
-      c.table = std::move(c.column);
-      c.column = Cur().text;
-      Advance();
+      c->table = std::move(c->column);
+      c->column = TakeText();
     }
-    return c;
+    return Status::OK();
   }
 
-  Result<Literal> ParseLiteral() {
+  Status ParseLiteral(Literal* lit) {
     bool neg = Accept(Tok::kMinus);
-    Literal lit;
     switch (Cur().kind) {
       case Tok::kInt:
-        lit.kind = Literal::Kind::kInt;
-        lit.i = neg ? -Cur().ival : Cur().ival;
+        lit->kind = Literal::Kind::kInt;
+        lit->i = neg ? -Cur().ival : Cur().ival;
         break;
       case Tok::kFloat:
-        lit.kind = Literal::Kind::kFloat;
-        lit.f = neg ? -Cur().fval : Cur().fval;
+        lit->kind = Literal::Kind::kFloat;
+        lit->f = neg ? -Cur().fval : Cur().fval;
         break;
       case Tok::kString:
         if (neg) return Error("numeric literal after '-'");
-        lit.kind = Literal::Kind::kString;
-        lit.s = Cur().text;
-        break;
+        lit->kind = Literal::Kind::kString;
+        lit->s = TakeText();
+        return Status::OK();
       case Tok::kDate:
         if (neg) return Error("numeric literal after '-'");
-        lit.kind = Literal::Kind::kDate;
-        lit.d = Cur().dval;
+        lit->kind = Literal::Kind::kDate;
+        lit->d = Cur().dval;
         break;
       default:
         return Error("literal");
     }
     Advance();
-    return lit;
+    return Status::OK();
+  }
+
+  static std::unique_ptr<Expr> Arith(ArithOp op, std::unique_ptr<Expr> lhs,
+                                     std::unique_ptr<Expr> rhs) {
+    auto node = std::make_unique<Expr>();
+    node->kind = Expr::Kind::kArith;
+    node->op = op;
+    node->lhs = std::move(lhs);
+    node->rhs = std::move(rhs);
+    return node;
   }
 
   // expr := term (('+'|'-') term)*
@@ -414,12 +406,7 @@ class Parser {
           Cur().kind == Tok::kPlus ? ArithOp::kAdd : ArithOp::kSub;
       Advance();
       RDB_ASSIGN_OR_RETURN(std::unique_ptr<Expr> rhs, ParseTerm());
-      auto node = std::make_unique<Expr>();
-      node->kind = Expr::Kind::kArith;
-      node->op = op;
-      node->lhs = std::move(lhs);
-      node->rhs = std::move(rhs);
-      lhs = std::move(node);
+      lhs = Arith(op, std::move(lhs), std::move(rhs));
     }
     return lhs;
   }
@@ -432,12 +419,7 @@ class Parser {
           Cur().kind == Tok::kStar ? ArithOp::kMul : ArithOp::kDiv;
       Advance();
       RDB_ASSIGN_OR_RETURN(std::unique_ptr<Expr> rhs, ParsePrimary());
-      auto node = std::make_unique<Expr>();
-      node->kind = Expr::Kind::kArith;
-      node->op = op;
-      node->lhs = std::move(lhs);
-      node->rhs = std::move(rhs);
-      lhs = std::move(node);
+      lhs = Arith(op, std::move(lhs), std::move(rhs));
     }
     return lhs;
   }
@@ -477,17 +459,15 @@ class Parser {
       return node;
     }
     if (IsLiteralTok(Cur().kind)) {
-      RDB_ASSIGN_OR_RETURN(Literal lit, ParseLiteral());
       auto node = std::make_unique<Expr>();
       node->kind = Expr::Kind::kLiteral;
-      node->lit = std::move(lit);
+      RDB_RETURN_NOT_OK(ParseLiteral(&node->lit));
       return node;
     }
     if (Cur().kind == Tok::kIdent) {
-      RDB_ASSIGN_OR_RETURN(ColumnRef c, ParseColumnRef());
       auto node = std::make_unique<Expr>();
       node->kind = Expr::Kind::kColumn;
-      node->col = std::move(c);
+      RDB_RETURN_NOT_OK(ParseColumnRef(&node->col));
       return node;
     }
     if (Accept(Tok::kLParen)) {
@@ -538,43 +518,39 @@ class Parser {
     }
   }
 
-  Result<Predicate> ParsePredicate() {
-    Predicate p;
+  Status ParsePredicate(Predicate* p) {
     if (IsLiteralTok(Cur().kind)) {
       // literal CMP column: normalise to column-on-the-left.
-      RDB_ASSIGN_OR_RETURN(p.value, ParseLiteral());
+      RDB_RETURN_NOT_OK(ParseLiteral(&p->value));
       RDB_ASSIGN_OR_RETURN(CmpOp op, ParseCmpOp());
       if (Cur().kind != Tok::kIdent)
         return Status::NotImplemented(
             "predicates must compare a column against a literal");
-      RDB_ASSIGN_OR_RETURN(p.col, ParseColumnRef());
-      p.kind = Predicate::Kind::kCompare;
-      p.op = FlipCmp(op);
-      return p;
+      RDB_RETURN_NOT_OK(ParseColumnRef(&p->col));
+      p->kind = Predicate::Kind::kCompare;
+      p->op = FlipCmp(op);
+      return Status::OK();
     }
-    RDB_ASSIGN_OR_RETURN(p.col, ParseColumnRef());
+    RDB_RETURN_NOT_OK(ParseColumnRef(&p->col));
     if (Accept(Tok::kBetween)) {
-      p.kind = Predicate::Kind::kBetween;
-      RDB_ASSIGN_OR_RETURN(p.lo, ParseLiteral());
+      p->kind = Predicate::Kind::kBetween;
+      RDB_RETURN_NOT_OK(ParseLiteral(&p->lo));
       RDB_RETURN_NOT_OK(Expect(Tok::kAnd, "AND in BETWEEN"));
-      RDB_ASSIGN_OR_RETURN(p.hi, ParseLiteral());
-      return p;
+      return ParseLiteral(&p->hi);
     }
     bool neg = Accept(Tok::kNot);
     if (Accept(Tok::kLike)) {
-      p.kind = neg ? Predicate::Kind::kNotLike : Predicate::Kind::kLike;
-      RDB_ASSIGN_OR_RETURN(p.value, ParseLiteral());
-      return p;
+      p->kind = neg ? Predicate::Kind::kNotLike : Predicate::Kind::kLike;
+      return ParseLiteral(&p->value);
     }
     if (neg) return Error("LIKE after NOT");
-    RDB_ASSIGN_OR_RETURN(p.op, ParseCmpOp());
+    RDB_ASSIGN_OR_RETURN(p->op, ParseCmpOp());
     if (Cur().kind == Tok::kIdent)
       return Status::NotImplemented(
           "column-to-column predicates are not supported (joins go through "
           "INNER JOIN ... ON)");
-    p.kind = Predicate::Kind::kCompare;
-    RDB_ASSIGN_OR_RETURN(p.value, ParseLiteral());
-    return p;
+    p->kind = Predicate::Kind::kCompare;
+    return ParseLiteral(&p->value);
   }
 
   std::vector<Token> toks_;
@@ -587,13 +563,17 @@ class Parser {
 Result<Statement> ParseStatement(const std::string& text) {
   RDB_ASSIGN_OR_RETURN(std::vector<Token> toks, Lex(text));
   Parser parser(std::move(toks), text);
-  return parser.ParseAny();
+  Result<Statement> out = Statement();
+  RDB_RETURN_NOT_OK(parser.ParseAny(&out.value()));
+  return out;
 }
 
 Result<SelectStmt> ParseSelect(const std::string& text) {
   RDB_ASSIGN_OR_RETURN(std::vector<Token> toks, Lex(text));
   Parser parser(std::move(toks), text);
-  return parser.Parse();
+  Result<SelectStmt> out = SelectStmt();
+  RDB_RETURN_NOT_OK(parser.Parse(&out.value()));
+  return out;
 }
 
 }  // namespace recycledb::sql

@@ -1,5 +1,6 @@
 #include "sql/planner.h"
 
+#include <charconv>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -22,41 +23,49 @@ namespace {
 // are deliberately absent.
 // ---------------------------------------------------------------------------
 
-void CollectExprLiterals(const Expr* e, std::vector<const Literal*>* out) {
+template <typename Fn>
+void ForEachExprLiteral(const Expr* e, Fn& fn) {
   if (e == nullptr) return;
   switch (e->kind) {
     case Expr::Kind::kLiteral:
-      out->push_back(&e->lit);
+      fn(e->lit);
       break;
     case Expr::Kind::kArith:
-      CollectExprLiterals(e->lhs.get(), out);
-      CollectExprLiterals(e->rhs.get(), out);
+      ForEachExprLiteral(e->lhs.get(), fn);
+      ForEachExprLiteral(e->rhs.get(), fn);
       break;
     case Expr::Kind::kAggregate:
-      CollectExprLiterals(e->arg.get(), out);
+      ForEachExprLiteral(e->arg.get(), fn);
       break;
     default:
       break;
   }
 }
 
-std::vector<const Literal*> CollectLiterals(const SelectStmt& stmt) {
-  std::vector<const Literal*> out;
+/// Calls fn(const Literal&) for every literal of the statement in canonical
+/// order.
+template <typename Fn>
+void ForEachLiteral(const SelectStmt& stmt, Fn&& fn) {
   for (const SelectItem& it : stmt.items)
-    CollectExprLiterals(it.expr.get(), &out);
+    ForEachExprLiteral(it.expr.get(), fn);
   for (const Predicate& p : stmt.where) {
     switch (p.kind) {
       case Predicate::Kind::kCompare:
       case Predicate::Kind::kLike:
       case Predicate::Kind::kNotLike:
-        out.push_back(&p.value);
+        fn(p.value);
         break;
       case Predicate::Kind::kBetween:
-        out.push_back(&p.lo);
-        out.push_back(&p.hi);
+        fn(p.lo);
+        fn(p.hi);
         break;
     }
   }
+}
+
+std::vector<const Literal*> CollectLiterals(const SelectStmt& stmt) {
+  std::vector<const Literal*> out;
+  ForEachLiteral(stmt, [&out](const Literal& lit) { out.push_back(&lit); });
   return out;
 }
 
@@ -796,10 +805,18 @@ const char* Ph(Literal::Kind k) {
   return "?";
 }
 
+void FpColumn(const ColumnRef& c, std::string* o) {
+  if (!c.table.empty()) {
+    *o += c.table;
+    *o += '.';
+  }
+  *o += c.column;
+}
+
 void FpExpr(const Expr* e, std::string* o) {
   switch (e->kind) {
     case Expr::Kind::kColumn:
-      *o += e->col.ToString();
+      FpColumn(e->col, o);
       break;
     case Expr::Kind::kLiteral:
       *o += Ph(e->lit.kind);
@@ -826,42 +843,66 @@ void FpExpr(const Expr* e, std::string* o) {
   }
 }
 
+// Large enough for the fingerprint of a typical statement, which is then
+// built in this one allocation.
+constexpr size_t kFingerprintReserve = 256;
+
 }  // namespace
 
 std::string Fingerprint(const SelectStmt& stmt) {
-  std::string o = "select ";
+  std::string o;
+  o.reserve(kFingerprintReserve);
+  o += "select ";
   for (size_t i = 0; i < stmt.items.size(); ++i) {
     if (i) o += ",";
     FpExpr(stmt.items[i].expr.get(), &o);
-    if (!stmt.items[i].alias.empty()) o += " as " + stmt.items[i].alias;
+    if (!stmt.items[i].alias.empty()) {
+      o += " as ";
+      o += stmt.items[i].alias;
+    }
   }
-  o += " from " + stmt.table;
-  if (!stmt.alias.empty()) o += " " + stmt.alias;
+  o += " from ";
+  o += stmt.table;
+  if (!stmt.alias.empty()) {
+    o += ' ';
+    o += stmt.alias;
+  }
   for (const JoinClause& j : stmt.joins) {
-    o += " join " + j.table;
-    if (!j.alias.empty()) o += " " + j.alias;
-    o += " on " + j.left.ToString() + "=" + j.right.ToString();
+    o += " join ";
+    o += j.table;
+    if (!j.alias.empty()) {
+      o += ' ';
+      o += j.alias;
+    }
+    o += " on ";
+    FpColumn(j.left, &o);
+    o += '=';
+    FpColumn(j.right, &o);
   }
   if (!stmt.where.empty()) {
     o += " where ";
     for (size_t i = 0; i < stmt.where.size(); ++i) {
       const Predicate& p = stmt.where[i];
       if (i) o += " and ";
-      o += p.col.ToString();
+      FpColumn(p.col, &o);
       switch (p.kind) {
         case Predicate::Kind::kCompare:
           o += CmpOpName(p.op);
           o += Ph(p.value.kind);
           break;
         case Predicate::Kind::kBetween:
-          o += std::string(" between ") + Ph(p.lo.kind) + " and " +
-               Ph(p.hi.kind);
+          o += " between ";
+          o += Ph(p.lo.kind);
+          o += " and ";
+          o += Ph(p.hi.kind);
           break;
         case Predicate::Kind::kLike:
-          o += std::string(" like ") + Ph(p.value.kind);
+          o += " like ";
+          o += Ph(p.value.kind);
           break;
         case Predicate::Kind::kNotLike:
-          o += std::string(" not like ") + Ph(p.value.kind);
+          o += " not like ";
+          o += Ph(p.value.kind);
           break;
       }
     }
@@ -870,13 +911,20 @@ std::string Fingerprint(const SelectStmt& stmt) {
     o += " group by ";
     for (size_t i = 0; i < stmt.group_by.size(); ++i) {
       if (i) o += ",";
-      o += stmt.group_by[i].ToString();
+      FpColumn(stmt.group_by[i], &o);
     }
   }
-  if (stmt.order_by.present)
-    o += " order by " + stmt.order_by.name + (stmt.order_by.asc ? "" : " desc");
-  if (stmt.limit >= 0)
-    o += StrFormat(" limit %lld", static_cast<long long>(stmt.limit));
+  if (stmt.order_by.present) {
+    o += " order by ";
+    o += stmt.order_by.name;
+    if (!stmt.order_by.asc) o += " desc";
+  }
+  if (stmt.limit >= 0) {
+    char buf[24];
+    char* end = std::to_chars(buf, buf + sizeof(buf), stmt.limit).ptr;
+    o += " limit ";
+    o.append(buf, static_cast<size_t>(end - buf));
+  }
   return o;
 }
 
@@ -892,16 +940,23 @@ Result<CompiledPlan> CompileStmt(Catalog* catalog, const SelectStmt& stmt,
 
 Result<std::vector<Scalar>> BindLiterals(const SelectStmt& stmt,
                                          const std::vector<TypeTag>& types) {
-  std::vector<const Literal*> lits = CollectLiterals(stmt);
-  if (lits.size() != types.size())
+  size_t count = 0;
+  ForEachLiteral(stmt, [&count](const Literal&) { ++count; });
+  if (count != types.size())
     return Status::Internal(
         "plan-cache entry does not match the statement's literal count");
   std::vector<Scalar> out;
-  out.reserve(lits.size());
-  for (size_t i = 0; i < lits.size(); ++i) {
-    RDB_ASSIGN_OR_RETURN(Scalar s, CoerceLiteral(*lits[i], types[i]));
-    out.push_back(std::move(s));
-  }
+  out.reserve(count);
+  Status st;
+  ForEachLiteral(stmt, [&](const Literal& lit) {
+    if (!st.ok()) return;
+    Result<Scalar> s = CoerceLiteral(lit, types[out.size()]);
+    if (s.ok())
+      out.push_back(std::move(s).value());
+    else
+      st = s.status();
+  });
+  RDB_RETURN_NOT_OK(st);
   return out;
 }
 

@@ -1,7 +1,6 @@
 #include "util/date.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 namespace recycledb {
@@ -76,12 +75,23 @@ std::string DateToString(DateT date) {
   return buf;
 }
 
-DateT DateFromString(const std::string& s) {
-  int y = 0, m = 0, d = 0;
-  if (std::sscanf(s.c_str(), "%d-%d-%d", &y, &m, &d) != 3)
-    return std::numeric_limits<int32_t>::min();
-  if (m < 1 || m > 12 || d < 1 || d > DaysInMonth(y, m))
-    return std::numeric_limits<int32_t>::min();
+DateT DateFromString(std::string_view s) {
+  constexpr DateT kBad = std::numeric_limits<int32_t>::min();
+  // Exactly YYYY-MM-DD: four year digits, two month digits, two day digits.
+  if (s.size() != 10 || s[4] != '-' || s[7] != '-') return kBad;
+  auto digits = [&s](size_t from, size_t count, int* out) {
+    int v = 0;
+    for (size_t k = from; k < from + count; ++k) {
+      if (s[k] < '0' || s[k] > '9') return false;
+      v = v * 10 + (s[k] - '0');
+    }
+    *out = v;
+    return true;
+  };
+  int y, m, d;
+  if (!digits(0, 4, &y) || !digits(5, 2, &m) || !digits(8, 2, &d))
+    return kBad;
+  if (m < 1 || m > 12 || d < 1 || d > DaysInMonth(y, m)) return kBad;
   return DateFromYmd(y, m, d);
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace recycledb {
 
@@ -26,8 +27,9 @@ inline DateT AddDays(DateT date, int days) { return date + days; }
 /// Formats as YYYY-MM-DD.
 std::string DateToString(DateT date);
 
-/// Parses YYYY-MM-DD; returns INT32_MIN on malformed input.
-DateT DateFromString(const std::string& s);
+/// Parses exactly YYYY-MM-DD (four, two and two digits, with a valid month
+/// and day of month); returns INT32_MIN on anything else.
+DateT DateFromString(std::string_view s);
 
 }  // namespace recycledb
 

@@ -1,8 +1,8 @@
 // Heap-allocation and retention gate of the recycler's exact-hit path.
 //
-// This binary replaces the global operator new with a counting one, so it is
-// built apart from recycledb_tests. Two properties are pinned with exact
-// counts rather than timings:
+// Linked with the counting operator new of alloc_counter.cc, so it is built
+// apart from recycledb_tests. Two properties are pinned with exact counts
+// rather than timings:
 //  - a warm run whose monitored instructions all hit the pool makes the same
 //    number of heap allocations whether the template has 3 or 6 monitored
 //    instructions, i.e. none per instruction;
@@ -11,35 +11,20 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <map>
 #include <memory>
-#include <new>
 
 #include "core/concurrent_recycler.h"
 #include "core/recycler.h"
 #include "core/recycler_optimizer.h"
 #include "interp/interpreter.h"
 #include "mal/plan_builder.h"
-
-namespace {
-std::atomic<uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "tests/alloc/alloc_counter.h"
 
 namespace recycledb {
 namespace {
+
+using alloc_test::AllocCount;
 
 std::unique_ptr<Catalog> MakeDb() {
   auto cat = std::make_unique<Catalog>();
@@ -96,12 +81,12 @@ const std::vector<Scalar> kParams{Scalar::Int(10), Scalar::Int(200)};
 /// Heap allocations made by one Run(), result destruction included. The run
 /// must be answered entirely from the pool.
 uint64_t AllocsOfHitRun(Interpreter* interp, const Program& prog) {
-  const uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const uint64_t before = AllocCount();
   {
     Result<QueryResult> r = interp->Run(prog, kParams);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
   }
-  const uint64_t n = g_allocs.load(std::memory_order_relaxed) - before;
+  const uint64_t n = AllocCount() - before;
   EXPECT_EQ(interp->last_run().pool_hits, interp->last_run().monitored);
   return n;
 }

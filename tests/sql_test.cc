@@ -469,6 +469,27 @@ TEST_F(SqlTest, MalformedLiterals) {
             StatusCode::kInvalidArgument);
 }
 
+// DATE literals are exactly YYYY-MM-DD: trailing text, a time of day,
+// single-digit fields and leading sign or space are rejected, not read as
+// their first date.
+TEST_F(SqlTest, MalformedDateLiteralsAreRejected) {
+  for (const char* body : {"1994-01-01junk", "1994-01-01 12:00", "1994-1-1",
+                           " +1994-01-01"}) {
+    const std::string text =
+        StrFormat("select * from emp where e_hired = date '%s'", body);
+    Status st = CompileStatus(text);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_EQ(st.message(),
+              StrFormat("malformed date literal '%s' at 1:35 (want "
+                        "YYYY-MM-DD)",
+                        body))
+        << text;
+  }
+  EXPECT_TRUE(
+      CompileStatus("select * from emp where e_hired = date '1994-01-01'")
+          .ok());
+}
+
 TEST_F(SqlTest, UnsupportedSyntax) {
   EXPECT_EQ(CompileStatus("select e_name from emp, dept").code(),
             StatusCode::kNotImplemented);

@@ -54,6 +54,35 @@ TEST(DateTest, Strings) {
   EXPECT_EQ(DateFromString("1996-13-01"), INT32_MIN);
 }
 
+TEST(DateTest, StringRoundTripEveryDay) {
+  const DateT first = DateFromYmd(1992, 1, 1);
+  const DateT last = DateFromYmd(1998, 12, 31);
+  for (DateT d = first; d <= last; ++d)
+    ASSERT_EQ(DateFromString(DateToString(d)), d) << DateToString(d);
+  for (int y : {1900, 2000, 2024}) {
+    for (DateT d = DateFromYmd(y, 2, 27); d <= DateFromYmd(y, 3, 1); ++d)
+      EXPECT_EQ(DateFromString(DateToString(d)), d) << DateToString(d);
+  }
+}
+
+TEST(DateTest, LeapDayEdges) {
+  EXPECT_EQ(DateFromString("1900-02-29"), INT32_MIN);  // century, not leap
+  EXPECT_EQ(DateFromString("2000-02-29"), DateFromYmd(2000, 2, 29));
+  EXPECT_EQ(DateFromString("2024-02-29"), DateFromYmd(2024, 2, 29));
+  EXPECT_EQ(DateFromString("2023-02-29"), INT32_MIN);
+  EXPECT_EQ(DateFromString("2024-02-30"), INT32_MIN);
+}
+
+TEST(DateTest, StringsAreExactlyYyyyMmDd) {
+  for (const char* bad :
+       {"1994-01-01junk", "1994-01-01 12:00", "1994-1-1", " +1994-01-01",
+        "+1994-01-01", "1994-01-1", "94-01-01", "01994-01-01", "1994/01/01",
+        "1994-01-0x", "1994-00-01", "1994-01-00", "1994-04-31", "", "-"})
+    EXPECT_EQ(DateFromString(bad), INT32_MIN) << bad;
+  EXPECT_EQ(DateFromString("0001-01-01"), DateFromYmd(1, 1, 1));
+  EXPECT_EQ(DateFromString("9999-12-31"), DateFromYmd(9999, 12, 31));
+}
+
 TEST(LikeTest, Basics) {
   EXPECT_TRUE(LikeMatch("hello", "hello"));
   EXPECT_FALSE(LikeMatch("hello", "help"));
