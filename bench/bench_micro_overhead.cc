@@ -20,6 +20,7 @@
 #include "sql/parser.h"
 #include "sql/planner.h"
 #include "util/check.h"
+#include "util/date.h"
 
 namespace {
 
@@ -380,6 +381,92 @@ void BM_KernelGroupAggScalar(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KernelGroupAggScalar);
+
+// ---------------------------------------------------------------------------
+// The kernels an adhoc (pool-missing) TPC-H plan spends its time in, at the
+// shapes the SQL planner gives them: SF 0.05 lineitem, candidates = the rows
+// of one l_shipdate year (~46k of ~300k) as [dense -> row oid]. Each reports
+// ns_per_row over the candidate rows.
+// ---------------------------------------------------------------------------
+
+struct KernelPlanInput {
+  std::unique_ptr<Catalog> cat;
+  BatPtr cand;  ///< reverse(markT(select(l_shipdate, 1994))): [dense -> row]
+};
+
+const KernelPlanInput& PlanInput() {
+  static const KernelPlanInput* in = [] {
+    auto* p = new KernelPlanInput;
+    p->cat = MakeTpchDb(0.05);
+    BatPtr ship = p->cat->BindColumn("lineitem", "l_shipdate").value();
+    BatPtr sel = engine::Select(ship, Scalar::DateVal(DateFromYmd(1994, 1, 1)),
+                                Scalar::DateVal(DateFromYmd(1995, 1, 1)), true,
+                                false)
+                     .value();
+    p->cand = engine::Reverse(engine::MarkT(sel, 0));
+    return p;
+  }();
+  return *in;
+}
+
+/// [dense -> value] of lineitem column `col` over the candidates.
+BatPtr PlanFetch(const char* col) {
+  const KernelPlanInput& in = PlanInput();
+  return engine::Join(in.cand, in.cat->BindColumn("lineitem", col).value())
+      .value();
+}
+
+void SetNsPerRow(benchmark::State& state, size_t rows) {
+  state.counters["ns_per_row"] = benchmark::Counter(
+      static_cast<double>(rows),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+/// join(cand, column): the column fetch behind every projection and
+/// predicate after the first.
+void BM_KernelProjectionJoin(benchmark::State& state, const char* col) {
+  const KernelPlanInput& in = PlanInput();
+  BatPtr column = in.cat->BindColumn("lineitem", col).value();
+  for (auto _ : state) {
+    auto r = engine::Join(in.cand, column);
+    benchmark::DoNotOptimize(r);
+  }
+  SetNsPerRow(state, in.cand->size());
+}
+BENCHMARK_CAPTURE(BM_KernelProjectionJoin, dbl, "l_extendedprice");
+BENCHMARK_CAPTURE(BM_KernelProjectionJoin, int, "l_quantity");
+BENCHMARK_CAPTURE(BM_KernelProjectionJoin, date, "l_commitdate");
+BENCHMARK_CAPTURE(BM_KernelProjectionJoin, oid, "l_orderkey");
+BENCHMARK_CAPTURE(BM_KernelProjectionJoin, str, "l_shipmode");
+
+/// semijoin(cand, select(join(cand, l_discount), 0.05, 0.07)): the
+/// candidate refinement of a conjunctive WHERE.
+void BM_KernelDenseSemijoin(benchmark::State& state) {
+  const KernelPlanInput& in = PlanInput();
+  BatPtr sel = engine::Select(PlanFetch("l_discount"), Scalar::Dbl(0.05),
+                              Scalar::Dbl(0.07), true, true)
+                   .value();
+  for (auto _ : state) {
+    auto r = engine::Semijoin(in.cand, sel);
+    benchmark::DoNotOptimize(r);
+  }
+  SetNsPerRow(state, in.cand->size());
+}
+BENCHMARK(BM_KernelDenseSemijoin);
+
+/// group.new over a fetched key column: few groups (str) and one group per
+/// order (oid).
+void BM_KernelGroupBy(benchmark::State& state, const char* col) {
+  BatPtr keys = PlanFetch(col);
+  for (auto _ : state) {
+    auto r = engine::GroupBy(keys);
+    benchmark::DoNotOptimize(r);
+  }
+  SetNsPerRow(state, keys->size());
+}
+BENCHMARK_CAPTURE(BM_KernelGroupBy, str, "l_shipmode");
+BENCHMARK_CAPTURE(BM_KernelGroupBy, oid, "l_orderkey");
 
 }  // namespace
 

@@ -127,6 +127,28 @@ void RecyclePool::IndexEntry(PoolEntry* e) {
   });
 }
 
+size_t RecyclePool::UntrackedViewBytes(
+    const std::vector<MalValue>& results) const {
+  std::vector<const Column*> viewed;
+  for (const MalValue& v : results) {
+    if (!v.is_bat()) continue;
+    const Bat& b = *v.bat();
+    for (const BatSide* s : {&b.head(), &b.tail()}) {
+      if (s->dense() || s->col->persistent()) continue;
+      if (s->offset == 0 && b.size() == s->col->size()) continue;  // owned
+      if (std::find(viewed.begin(), viewed.end(), s->col.get()) ==
+          viewed.end())
+        viewed.push_back(s->col.get());
+    }
+  }
+  if (viewed.empty()) return 0;
+  size_t bytes = 0;
+  std::lock_guard<std::mutex> lock(shared_->mu);
+  for (const Column* c : viewed)
+    if (shared_->col_track.count(c) == 0) bytes += c->MemoryBytes();
+  return bytes;
+}
+
 void RecyclePool::UnindexEntry(PoolEntry* e) {
   // match index
   auto range = match_index_.equal_range(MatchHash(e->op, e->args));

@@ -260,6 +260,13 @@ class RecyclePool {
   /// Drops everything.
   void Clear();
 
+  /// Bytes admitting `results` adds beyond their bats' MemoryBytes(): the
+  /// columns they only view (a slice, or an empty window) that no entry
+  /// tracks yet. A view costs its bat nothing, but the admission charges
+  /// the column it keeps alive (IndexEntry), so the admission's capacity
+  /// check must count it too.
+  size_t UntrackedViewBytes(const std::vector<MalValue>& results) const;
+
   // --- introspection --------------------------------------------------------
   size_t num_entries() const { return entries_.size(); }
   /// Bytes attributed to THIS pool: every tracked column is charged to the

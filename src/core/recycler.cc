@@ -235,7 +235,7 @@ size_t Recycler::EstimateNewBytes(const std::vector<MalValue>& results) const {
   for (const MalValue& v : results) {
     if (v.is_bat()) bytes += v.bat()->MemoryBytes();
   }
-  return bytes;
+  return bytes + pool_.UntrackedViewBytes(results);
 }
 
 bool Recycler::AdmitResult(const QueryCtx& ctx, const InstrView& instr,

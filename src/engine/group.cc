@@ -1,4 +1,4 @@
-#include <unordered_map>
+#include <functional>
 
 #include "engine/detail.h"
 #include "engine/materialize.h"
@@ -9,6 +9,89 @@ namespace recycledb::engine {
 using detail::AnySideReader;
 using detail::RawSideArray;
 
+namespace {
+
+/// Open-addressing table of the distinct keys of a row array — key values,
+/// optionally paired with each row's previous group id — behind grouping
+/// and Kunique. It is sized by the number of groups, not rows: it starts at
+/// kMinSlots and doubles past half load, rehashing from the stored hashes,
+/// so a low-cardinality key never allocates per row. Each slot holds its
+/// group's hash, first row and id; ids are handed out in first-occurrence
+/// order. The hash is std::hash<T> mixed before masking and keys compare
+/// with ==, so keys that compare equal (-0.0 and 0.0) share a group.
+template <typename T>
+class GroupTable {
+ public:
+  /// `keys` (and `prev`, when non-null) are indexed by row and must outlive
+  /// the table.
+  GroupTable(const T* keys, const Oid* prev)
+      : keys_(keys), prev_(prev), slots_(kMinSlots), mask_(kMinSlots - 1) {}
+
+  /// The group id of row `i`; `*fresh` is set when row i opened the group.
+  uint32_t Find(size_t i, bool* fresh) {
+    if (2 * (groups_ + 1) > slots_.size()) Grow();
+    const uint64_t h = Hash(i);
+    for (size_t s = h & mask_;; s = (s + 1) & mask_) {
+      Slot& slot = slots_[s];
+      if (slot.row == kEmpty) {
+        slot = Slot{h, static_cast<uint32_t>(i), groups_};
+        *fresh = true;
+        return groups_++;
+      }
+      if (slot.hash == h && Same(slot.row, i)) {
+        *fresh = false;
+        return slot.gid;
+      }
+    }
+  }
+
+ private:
+  static constexpr size_t kMinSlots = 16;
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+
+  struct Slot {
+    uint64_t hash = 0;
+    uint32_t row = kEmpty;
+    uint32_t gid = 0;
+  };
+
+  uint64_t Hash(size_t i) const {
+    uint64_t h = std::hash<T>()(keys_[i]);
+    if (prev_ != nullptr) h ^= prev_[i] * 0x9e3779b97f4a7c15ULL;
+    // murmur3's 64-bit finaliser: std::hash is the identity for integers.
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
+    return h;
+  }
+
+  bool Same(size_t a, size_t b) const {
+    return keys_[a] == keys_[b] && (prev_ == nullptr || prev_[a] == prev_[b]);
+  }
+
+  void Grow() {
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    mask_ = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.row == kEmpty) continue;
+      size_t s = slot.hash & mask_;
+      while (slots_[s].row != kEmpty) s = (s + 1) & mask_;
+      slots_[s] = slot;
+    }
+  }
+
+  const T* keys_;
+  const Oid* prev_;
+  std::vector<Slot> slots_;
+  size_t mask_;
+  uint32_t groups_ = 0;
+};
+
+}  // namespace
+
 Result<BatPtr> Kunique(const BatPtr& b) {
   const BatSide& head = b->head();
   // Dense heads and declared-key columns are already duplicate-free.
@@ -17,14 +100,13 @@ Result<BatPtr> Kunique(const BatPtr& b) {
   TypeTag t = head.LogicalType();
   return VisitPhysical(t, [&](auto tag) -> Result<BatPtr> {
     using T = typename decltype(tag)::type;
-    AnySideReader<T> reader(head);
     size_t n = b->size();
-    std::unordered_map<T, uint32_t> seen;
-    seen.reserve(n);
+    GroupTable<T> table(head.col->Data<T>().data() + head.offset, nullptr);
     SelVector sel;
     for (size_t i = 0; i < n; ++i) {
-      if (seen.emplace(reader[i], static_cast<uint32_t>(i)).second)
-        sel.push_back(static_cast<uint32_t>(i));
+      bool fresh;
+      table.Find(i, &fresh);
+      if (fresh) sel.push_back(static_cast<uint32_t>(i));
     }
     if (sel.size() == n) return b;
     return Bat::Make(TakeSide(head, n, sel), TakeSide(b->tail(), n, sel),
@@ -34,78 +116,27 @@ Result<BatPtr> Kunique(const BatPtr& b) {
 
 namespace {
 
+/// Groups `keys` by tail value, within the groups of `prev` when given
+/// (SubGroupBy) or as one group (GroupBy).
 template <typename T>
-GroupResult GroupByTyped(const BatPtr& keys) {
+GroupResult GroupByTyped(const BatPtr& keys, const BatPtr* prev_map) {
   AnySideReader<Oid> heads(keys->head());
   size_t n = keys->size();
   // Key reads hoisted to a raw array: materialised tails (in particular
   // string tails) are read in place instead of copied per row.
   std::vector<T> ktmp;
   const T* kv = RawSideArray<T>(keys->tail(), n, &ktmp);
-  std::unordered_map<T, Oid> groups;
-  groups.reserve(n);
-  std::vector<Oid> map;
-  map.reserve(n);
-  std::vector<Oid> reps;
-  for (size_t i = 0; i < n; ++i) {
-    auto [it, fresh] = groups.emplace(kv[i], static_cast<Oid>(groups.size()));
-    if (fresh) reps.push_back(heads[i]);
-    map.push_back(it->second);
-  }
-  GroupResult out;
-  out.map = Bat::DenseHead(Column::Make(TypeTag::kOid, std::move(map)));
-  auto reps_col = Column::Make(TypeTag::kOid, std::move(reps));
-  reps_col->set_key(true);
-  out.reps = Bat::DenseHead(std::move(reps_col));
-  return out;
-}
-
-struct PairKey {
-  Oid gid;
-  uint64_t vhash;
-  bool operator==(const PairKey& o) const {
-    return gid == o.gid && vhash == o.vhash;
-  }
-};
-struct PairKeyHash {
-  size_t operator()(const PairKey& k) const {
-    return k.gid * 0x9e3779b97f4a7c15ULL ^ k.vhash;
-  }
-};
-
-template <typename T>
-GroupResult SubGroupByTyped(const BatPtr& keys, const BatPtr& prev_map) {
-  AnySideReader<Oid> heads(keys->head());
-  size_t n = keys->size();
-  std::vector<T> ktmp;
-  const T* kv = RawSideArray<T>(keys->tail(), n, &ktmp);
   std::vector<Oid> ptmp;
-  const Oid* prev = RawSideArray<Oid>(prev_map->tail(), n, &ptmp);
-  // Group on (previous gid, key value); to avoid per-type pair maps we key
-  // on (gid, hash(value)) and verify values via a representative check.
-  std::unordered_map<PairKey, Oid, PairKeyHash> groups;
-  groups.reserve(n);
-  std::vector<uint32_t> first_row;  // representative row per new gid
-  std::vector<Oid> map;
-  map.reserve(n);
+  const Oid* prev = prev_map == nullptr
+                        ? nullptr
+                        : RawSideArray<Oid>((*prev_map)->tail(), n, &ptmp);
+  GroupTable<T> table(kv, prev);
+  std::vector<Oid> map(n);
   std::vector<Oid> reps;
   for (size_t i = 0; i < n; ++i) {
-    PairKey k{prev[i], std::hash<T>()(kv[i])};
-    auto it = groups.find(k);
-    // Resolve (rare) hash collisions by probing alternative keys.
-    while (it != groups.end() && !(kv[first_row[it->second]] == kv[i])) {
-      k.vhash = k.vhash * 0x100000001b3ULL + 1;
-      it = groups.find(k);
-    }
-    if (it == groups.end()) {
-      Oid gid = static_cast<Oid>(first_row.size());
-      groups.emplace(k, gid);
-      first_row.push_back(static_cast<uint32_t>(i));
-      reps.push_back(heads[i]);
-      map.push_back(gid);
-    } else {
-      map.push_back(it->second);
-    }
+    bool fresh;
+    map[i] = table.Find(i, &fresh);
+    if (fresh) reps.push_back(heads[i]);
   }
   GroupResult out;
   out.map = Bat::DenseHead(Column::Make(TypeTag::kOid, std::move(map)));
@@ -121,7 +152,7 @@ Result<GroupResult> GroupBy(const BatPtr& keys) {
   TypeTag t = keys->tail().LogicalType();
   return VisitPhysical(t, [&](auto tag) -> Result<GroupResult> {
     using T = typename decltype(tag)::type;
-    return GroupByTyped<T>(keys);
+    return GroupByTyped<T>(keys, nullptr);
   });
 }
 
@@ -131,7 +162,7 @@ Result<GroupResult> SubGroupBy(const BatPtr& keys, const BatPtr& prev_map) {
   TypeTag t = keys->tail().LogicalType();
   return VisitPhysical(t, [&](auto tag) -> Result<GroupResult> {
     using T = typename decltype(tag)::type;
-    return SubGroupByTyped<T>(keys, prev_map);
+    return GroupByTyped<T>(keys, &prev_map);
   });
 }
 

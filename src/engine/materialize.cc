@@ -13,11 +13,20 @@ bool IncreasingSel(const SelVector& sel) {
   return true;
 }
 
+/// sel[k] == sel[0] + k for every k (vacuously true when empty).
+bool ConsecutiveSel(const SelVector& sel) {
+  if (sel.empty()) return true;
+  if (sel.back() - sel.front() != sel.size() - 1) return false;
+  return IncreasingSel(sel);
+}
+
 }  // namespace
 
 BatSide TakeSide(const BatSide& side, size_t count, const SelVector& sel) {
   (void)count;
   if (side.dense()) {
+    if (ConsecutiveSel(sel))
+      return BatSide::Dense(side.seq + (sel.empty() ? 0 : sel.front()));
     std::vector<Oid> out;
     out.reserve(sel.size());
     for (uint32_t i : sel) out.push_back(side.seq + i);
@@ -38,38 +47,21 @@ BatSide TakeSide(const BatSide& side, size_t count, const SelVector& sel) {
     col->set_key(increasing);
     return BatSide::Materialized(std::move(col));
   }
-  TypeTag t = side.type;
   if (EncodedIntermediatesEnabled()) {
     // Gather in code space: the result column carries the (shared-dict or
     // same-base) encoding and is charged to the recycler at encoded size;
     // downstream kernels consume the codes without decompressing.
     if (EncodingPtr enc = side.col->shared_encoding()) {
       if (EncodingPtr g = ColumnEncoding::Gather(*enc, side.offset, sel)) {
-        auto col = Column::MakeEncoded(t, std::move(g));
+        auto col = Column::MakeEncoded(side.type, std::move(g));
         if (side.col->sorted() && IncreasingSel(sel)) col->set_sorted(true);
         return BatSide::Materialized(std::move(col));
       }
     }
   }
-  return VisitPhysical(t, [&](auto tag) -> BatSide {
-    using T = typename decltype(tag)::type;
-    const T* src = side.col->Data<T>().data() + side.offset;
-    std::vector<T> out;
-    out.reserve(sel.size());
-    for (uint32_t i : sel) out.push_back(src[i]);
-    auto col = Column::Make(t, std::move(out));
-    if (side.col->sorted()) {
-      bool increasing = true;
-      for (size_t k = 1; k < sel.size(); ++k) {
-        if (sel[k] <= sel[k - 1]) {
-          increasing = false;
-          break;
-        }
-      }
-      col->set_sorted(increasing);
-    }
-    return BatSide::Materialized(std::move(col));
-  });
+  return GatherRaw(
+      side, sel.size(), [&](size_t k) { return sel[k]; },
+      side.col->sorted() && IncreasingSel(sel));
 }
 
 BatSide SliceSide(const BatSide& side, size_t offset, size_t len) {

@@ -163,8 +163,8 @@ class Parser {
     }
     if (Cur().kind == Tok::kComma)
       return Status::NotImplemented(
-          "comma-separated FROM lists are not supported; use INNER JOIN ... ON "
-          "over a registered foreign-key index");
+          "comma-separated FROM lists are not supported at " + Where() +
+          "; use INNER JOIN ... ON over a registered foreign-key index");
 
     RDB_RETURN_NOT_OK(ParseWhere(&stmt->where));
 
@@ -181,12 +181,13 @@ class Parser {
     // ORDER BY
     if (Accept(Tok::kOrder)) {
       RDB_RETURN_NOT_OK(Expect(Tok::kBy, "BY after ORDER"));
+      const size_t label_pos = Cur().pos;
       ColumnRef c;
       RDB_RETURN_NOT_OK(ParseColumnRef(&c));
       if (!c.table.empty())
         return Status::InvalidArgument(
             "ORDER BY takes an unqualified select-item label, not '" +
-            c.ToString() + "'");
+            c.ToString() + "' at " + LineColAt(text_, label_pos));
       stmt->order_by.present = true;
       stmt->order_by.name = std::move(c.column);  // matched against labels
       if (Accept(Tok::kDesc))
@@ -238,10 +239,12 @@ class Parser {
       count += toks_[i].kind == k;
     return count;
   }
+  /// "line:column" of the current token.
+  std::string Where() const { return LineColAt(text_, Cur().pos); }
   Status Error(const char* what) const {
     return Status::InvalidArgument(
         StrFormat("parse error at %s: expected %s, got %s",
-                  LineColAt(text_, Cur().pos).c_str(), what,
+                  Where().c_str(), what,
                   TokenToString(Cur()).c_str()));
   }
 
@@ -302,11 +305,13 @@ class Parser {
       UpdateStmt::SetClause& sc = stmt->sets.emplace_back();
       sc.column = TakeText();
       RDB_RETURN_NOT_OK(Expect(Tok::kEq, "'=' in SET clause"));
+      const size_t value_pos = Cur().pos;
       RDB_ASSIGN_OR_RETURN(sc.value, ParseExpr());
       if (sc.value->kind == Expr::Kind::kAggregate ||
           sc.value->kind == Expr::Kind::kStar)
         return Status::NotImplemented(
-            "SET expressions are column/literal arithmetic only");
+            "SET expressions are column/literal arithmetic only (at " +
+            LineColAt(text_, value_pos) + ")");
       if (!Accept(Tok::kComma)) break;
     }
     RDB_RETURN_NOT_OK(ParseWhere(&stmt->where));
@@ -342,8 +347,8 @@ class Parser {
       *alias = TakeText();
     } else if (Cur().kind == Tok::kIdent) {
       if (IsJoinModifier(Cur().text))
-        return Status::NotImplemented(
-            "only INNER JOIN is supported (got '" + Cur().text + "')");
+        return Status::NotImplemented("only INNER JOIN is supported (got '" +
+                                      Cur().text + "' at " + Where() + ")");
       *alias = TakeText();
     }
     return Status::OK();
@@ -525,7 +530,8 @@ class Parser {
       RDB_ASSIGN_OR_RETURN(CmpOp op, ParseCmpOp());
       if (Cur().kind != Tok::kIdent)
         return Status::NotImplemented(
-            "predicates must compare a column against a literal");
+            "predicates must compare a column against a literal (got " +
+            TokenToString(Cur()) + " at " + Where() + ")");
       RDB_RETURN_NOT_OK(ParseColumnRef(&p->col));
       p->kind = Predicate::Kind::kCompare;
       p->op = FlipCmp(op);
@@ -547,8 +553,8 @@ class Parser {
     RDB_ASSIGN_OR_RETURN(p->op, ParseCmpOp());
     if (Cur().kind == Tok::kIdent)
       return Status::NotImplemented(
-          "column-to-column predicates are not supported (joins go through "
-          "INNER JOIN ... ON)");
+          "column-to-column predicates are not supported at " + Where() +
+          " (joins go through INNER JOIN ... ON)");
     p->kind = Predicate::Kind::kCompare;
     return ParseLiteral(&p->value);
   }

@@ -347,5 +347,36 @@ TEST(PoolTest, DumpRendersEntries) {
   EXPECT_NE(s.find("\"R\""), std::string::npos);
 }
 
+TEST(PoolTest, AdmittingAViewCountsTheUntrackedColumnItPins) {
+  // A slice of an intermediate column costs its bat nothing, but admitting
+  // it charges the whole column while no entry tracks it; the admission's
+  // capacity estimate must see the same bytes.
+  RecyclePool pool;
+  BatPtr whole = FreshBat(100);
+  BatPtr slice = engine::Slice(whole, 10, 20).ValueOrDie();
+  BatPtr empty = engine::Slice(whole, 0, 0).ValueOrDie();
+  const size_t col_bytes = whole->tail().col->MemoryBytes();
+  ASSERT_EQ(slice->MemoryBytes(), 0u);
+  EXPECT_EQ(pool.UntrackedViewBytes({MalValue(slice)}), col_bytes);
+  EXPECT_EQ(pool.UntrackedViewBytes({MalValue(slice), MalValue(empty)}),
+            col_bytes)
+      << "one column, counted once";
+  EXPECT_EQ(pool.UntrackedViewBytes({MalValue(whole)}), 0u)
+      << "a whole column is in the bat's own MemoryBytes";
+
+  uint64_t id = pool.Admit(
+      MakeEntry(Opcode::kSlice, {MalValue(whole)}, {MalValue(slice)}));
+  EXPECT_EQ(pool.total_bytes(), col_bytes) << "the charge the estimate saw";
+  EXPECT_EQ(pool.UntrackedViewBytes({MalValue(empty)}), 0u)
+      << "tracked columns are charged once";
+  pool.Remove(id, /*force=*/true);
+  EXPECT_EQ(pool.total_bytes(), 0u);
+
+  auto persistent = Column::Make(TypeTag::kLng, std::vector<int64_t>(50, 1));
+  persistent->set_persistent(true);
+  BatPtr pview = engine::Slice(Bat::DenseHead(persistent), 5, 9).ValueOrDie();
+  EXPECT_EQ(pool.UntrackedViewBytes({MalValue(pview)}), 0u);
+}
+
 }  // namespace
 }  // namespace recycledb

@@ -10,6 +10,7 @@
 #include <cctype>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/sql_patterns.h"
@@ -177,21 +178,32 @@ bool HasLineCol(const std::string& msg) {
   return false;
 }
 
-// Rejections that concern a whole clause rather than a token, and so carry
-// no position.
-const char* const kUnpositionedErrors[] = {
-    "comma-separated FROM lists are not supported",
-    "ORDER BY takes an unqualified select-item label",
-    "only INNER JOIN is supported",
-    "SET expressions are column/literal arithmetic only",
-    "predicates must compare a column against a literal",
-    "column-to-column predicates are not supported",
-};
-
-bool IsUnpositionedError(const std::string& msg) {
-  for (const char* prefix : kUnpositionedErrors)
-    if (msg.rfind(prefix, 0) == 0) return true;
-  return false;
+// Rejections of a whole construct name the token where it starts, like
+// every other parse error.
+TEST(SqlFrontEndTest, ClauseLevelRejectionsCarryTheirPosition) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"select count(*) from lineitem, orders",
+       "comma-separated FROM lists are not supported at 1:30; use INNER JOIN "
+       "... ON over a registered foreign-key index"},
+      {"select l_tax from lineitem order by lineitem.l_tax",
+       "ORDER BY takes an unqualified select-item label, not "
+       "'lineitem.l_tax' at 1:37"},
+      {"select count(*) from lineitem left join orders on l_orderkey = "
+       "o_orderkey",
+       "only INNER JOIN is supported (got 'left' at 1:31)"},
+      {"update region set r_name = count(*)",
+       "SET expressions are column/literal arithmetic only (at 1:28)"},
+      {"select count(*) from lineitem where 5 < 6",
+       "predicates must compare a column against a literal (got 6 at 1:41)"},
+      {"select count(*) from lineitem\nwhere l_tax < l_discount",
+       "column-to-column predicates are not supported at 2:15 (joins go "
+       "through INNER JOIN ... ON)"},
+  };
+  for (const auto& [text, message] : cases) {
+    auto st = sql::ParseStatement(text);
+    ASSERT_FALSE(st.ok()) << text;
+    EXPECT_EQ(st.status().message(), message) << text;
+  }
 }
 
 TEST(SqlFrontEndTest, MutatedStatementsFailCleanly) {
@@ -234,8 +246,7 @@ TEST(SqlFrontEndTest, MutatedStatementsFailCleanly) {
     ASSERT_TRUE(s.code() == StatusCode::kInvalidArgument ||
                 s.code() == StatusCode::kNotImplemented)
         << text << ": " << s.ToString();
-    ASSERT_TRUE(HasLineCol(s.message()) || IsUnpositionedError(s.message()))
-        << text << ": " << s.ToString();
+    ASSERT_TRUE(HasLineCol(s.message())) << text << ": " << s.ToString();
   }
   // Both outcomes occur, so the mutations neither always break nor never
   // touch the statements.
