@@ -10,6 +10,7 @@
 #include "core/recycler.h"
 #include "interp/interpreter.h"
 #include "skyserver/skyserver.h"
+#include "tests/support/raw_tpch.h"
 #include "tpch/tpch.h"
 #include "util/timer.h"
 
@@ -35,6 +36,20 @@ inline std::unique_ptr<Catalog> MakeTpchDb(double sf) {
   Status st = tpch::LoadTpch(cat.get(), cfg);
   if (!st.ok()) {
     std::fprintf(stderr, "tpch load failed: %s\n", st.ToString().c_str());
+    std::abort();
+  }
+  return cat;
+}
+
+/// The same TPC-H catalog without column encodings (the raw side of
+/// raw-vs-encoded comparisons; tpch::LoadTpch always encodes).
+inline std::unique_ptr<Catalog> MakeRawTpchDb(double sf) {
+  auto cat = std::make_unique<Catalog>();
+  tpch::TpchConfig cfg;
+  cfg.scale_factor = sf;
+  Status st = test_support::LoadRawTpch(cat.get(), cfg);
+  if (!st.ok()) {
+    std::fprintf(stderr, "raw tpch load failed: %s\n", st.ToString().c_str());
     std::abort();
   }
   return cat;

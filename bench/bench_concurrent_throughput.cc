@@ -929,7 +929,10 @@ JsonRow RunTxnMixedPhase(int workers, int n_writers, int rounds,
 /// steady-state hit ratio under eviction pressure, and the governance
 /// counters — budget-forced evictions and lease borrows. An admission-path
 /// regression back to the all-stripe lock shows up as a qps collapse; a
-/// governance regression shows up in the counters.
+/// governance regression shows up in the counters. It runs on a raw TPC-H
+/// copy: encoded entries are so much smaller that the 1 MB budget would
+/// hardly evict, and eviction pressure is what this phase gates (the
+/// encoded catalog under the same budget is bounded_memory/encoded).
 JsonRow RunBoundedMemoryPhase(Catalog* cat,
                               const std::vector<tpch::QueryTemplate>& templates,
                               int workers, int n_queries) {
@@ -1002,10 +1005,10 @@ JsonRow RunBoundedMemoryPhase(Catalog* cat,
 }
 
 /// Encoded-intermediates bounded-memory ablation: the bounded_memory
-/// workload twice on a private TPC-H copy — once raw, once after
-/// Catalog::BuildEncodings() with SetEncodedIntermediates(true) — under the
-/// IDENTICAL 1 MB budget. Recycled entries are charged at encoded size, so
-/// the encoded run fits more of the working set and must post a strictly
+/// workload twice — once on a raw TPC-H copy (MakeRawTpchDb), once on the
+/// encoded load tpch::LoadTpch produces — under the IDENTICAL 1 MB budget.
+/// Recycled entries are charged at encoded size, so the encoded run fits
+/// more of the working set and must post a strictly
 /// higher steady-state hit ratio (gated within-run by check_regression.py,
 /// like rel_qps: machine-independent). The row also carries the end-of-run
 /// pool gauges pool_encoded_bytes / encoding_savings_bytes; the latter must
@@ -1013,9 +1016,6 @@ JsonRow RunBoundedMemoryPhase(Catalog* cat,
 JsonRow RunBoundedMemoryEncodedPhase(
     const std::vector<tpch::QueryTemplate>& templates, int workers,
     int n_queries) {
-  // Private catalog: BuildEncodings attaches sidecars to catalog columns,
-  // which must not leak into the other phases' (raw) measurements.
-  auto cat = MakeTpchDb(EnvSf());
   Workload w = MakeWorkload("bound", templates, 12, n_queries, 9003);
 
   struct SubRun {
@@ -1027,11 +1027,11 @@ JsonRow RunBoundedMemoryEncodedPhase(
     size_t enc_bytes = 0;
     size_t save_bytes = 0;
   };
-  auto run = [&](const char* tag) {
+  auto run = [&](const char* tag, Catalog* cat) {
     ServiceConfig cfg = BenchConfig(workers);
     cfg.recycler.max_bytes = 1024 * 1024;
     cfg.recycler.eviction = EvictionKind::kLru;
-    QueryService svc(cat.get(), cfg);
+    QueryService svc(cat, cfg);
     for (auto& r : svc.RunBatch(w.warmup)) {
       if (!r.ok()) {
         std::fprintf(stderr, "bounded/%s warmup failed: %s\n", tag,
@@ -1069,19 +1069,16 @@ JsonRow RunBoundedMemoryEncodedPhase(
     return out;
   };
 
-  SubRun raw = run("raw");
-  size_t ncols = cat->BuildEncodings();
-  SetEncodedIntermediates(true);
-  SubRun enc = run("encoded");
-  SetEncodedIntermediates(false);
+  SubRun raw = run("raw", MakeRawTpchDb(EnvSf()).get());
+  SubRun enc = run("encoded", MakeTpchDb(EnvSf()).get());
 
   std::printf(
       "bounded memory, encoded intermediates (%d workers, 1024 KB budget, "
-      "%d queries, %zu cols encoded)\n"
+      "%d queries)\n"
       "  raw:     qps=%.1f hit-ratio=%.2f evicted=%llu\n"
       "  encoded: qps=%.1f hit-ratio=%.2f evicted=%llu pool-encoded=%zu KB "
       "savings=%zu KB\n",
-      workers, n_queries, ncols, raw.qps, raw.hit_ratio,
+      workers, n_queries, raw.qps, raw.hit_ratio,
       static_cast<unsigned long long>(raw.evicted), enc.qps, enc.hit_ratio,
       static_cast<unsigned long long>(enc.evicted), enc.enc_bytes / 1024,
       enc.save_bytes / 1024);
@@ -1567,8 +1564,9 @@ int main(int argc, char** argv) {
   // gated phases (short windows make the qps gate flake-prone).
   rows.push_back(
       RunMixedDmlPhase(std::min(4, max_workers), 12, 600, metrics_path));
-  rows.push_back(RunBoundedMemoryPhase(cat.get(), templates,
-                                       std::min(4, max_workers), 1500));
+  rows.push_back(RunBoundedMemoryPhase(MakeRawTpchDb(EnvSf()).get(),
+                                       templates, std::min(4, max_workers),
+                                       1500));
   rows.push_back(RunBoundedMemoryEncodedPhase(templates,
                                               std::min(4, max_workers), 1500));
   for (JsonRow& r : RunKernelPhases()) rows.push_back(std::move(r));

@@ -394,10 +394,12 @@ struct KernelPlanInput {
   BatPtr cand;  ///< reverse(markT(select(l_shipdate, 1994))): [dense -> row]
 };
 
-const KernelPlanInput& PlanInput() {
-  static const KernelPlanInput* in = [] {
+/// The candidates over the encoded catalog tpch::LoadTpch builds, or over
+/// a raw copy of it (`encoded` false).
+const KernelPlanInput& PlanInput(bool encoded = true) {
+  auto make = [](bool enc) {
     auto* p = new KernelPlanInput;
-    p->cat = MakeTpchDb(0.05);
+    p->cat = enc ? MakeTpchDb(0.05) : MakeRawTpchDb(0.05);
     BatPtr ship = p->cat->BindColumn("lineitem", "l_shipdate").value();
     BatPtr sel = engine::Select(ship, Scalar::DateVal(DateFromYmd(1994, 1, 1)),
                                 Scalar::DateVal(DateFromYmd(1995, 1, 1)), true,
@@ -405,13 +407,18 @@ const KernelPlanInput& PlanInput() {
                      .value();
     p->cand = engine::Reverse(engine::MarkT(sel, 0));
     return p;
-  }();
-  return *in;
+  };
+  if (encoded) {
+    static const KernelPlanInput* in = make(true);
+    return *in;
+  }
+  static const KernelPlanInput* raw = make(false);
+  return *raw;
 }
 
 /// [dense -> value] of lineitem column `col` over the candidates.
-BatPtr PlanFetch(const char* col) {
-  const KernelPlanInput& in = PlanInput();
+BatPtr PlanFetch(const char* col, bool encoded = true) {
+  const KernelPlanInput& in = PlanInput(encoded);
   return engine::Join(in.cand, in.cat->BindColumn("lineitem", col).value())
       .value();
 }
@@ -456,17 +463,37 @@ void BM_KernelDenseSemijoin(benchmark::State& state) {
 BENCHMARK(BM_KernelDenseSemijoin);
 
 /// group.new over a fetched key column: few groups (str) and one group per
-/// order (oid).
-void BM_KernelGroupBy(benchmark::State& state, const char* col) {
-  BatPtr keys = PlanFetch(col);
+/// order (oid), over the codes of the encoded catalog (dict: u8 dictionary
+/// codes, for: u32 FOR codes) and over raw values.
+void BM_KernelGroupBy(benchmark::State& state, const char* col, bool encoded) {
+  BatPtr keys = PlanFetch(col, encoded);
   for (auto _ : state) {
     auto r = engine::GroupBy(keys);
     benchmark::DoNotOptimize(r);
   }
   SetNsPerRow(state, keys->size());
 }
-BENCHMARK_CAPTURE(BM_KernelGroupBy, str, "l_shipmode");
-BENCHMARK_CAPTURE(BM_KernelGroupBy, oid, "l_orderkey");
+BENCHMARK_CAPTURE(BM_KernelGroupBy, str_dict, "l_shipmode", true);
+BENCHMARK_CAPTURE(BM_KernelGroupBy, str_raw, "l_shipmode", false);
+BENCHMARK_CAPTURE(BM_KernelGroupBy, oid_for, "l_orderkey", true);
+BENCHMARK_CAPTURE(BM_KernelGroupBy, oid_raw, "l_orderkey", false);
+
+/// Catalog::BuildEncodings over every table of a raw SF 0.05 TPC-H copy:
+/// the load-time encode pass that tpch::LoadTpch ends with.
+void BM_BuildEncodings(benchmark::State& state) {
+  size_t encoded = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::unique_ptr<Catalog> cat = MakeRawTpchDb(0.05);
+    state.ResumeTiming();
+    encoded = cat->BuildEncodings();
+    state.PauseTiming();
+    cat.reset();
+    state.ResumeTiming();
+  }
+  state.counters["columns"] = static_cast<double>(encoded);
+}
+BENCHMARK(BM_BuildEncodings)->Unit(benchmark::kMillisecond)->Iterations(5);
 
 }  // namespace
 

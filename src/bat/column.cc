@@ -27,7 +27,15 @@ struct MemVisitor {
   }
 };
 
+std::atomic<uint64_t> g_decodes{0};
+std::atomic<uint64_t> g_decoded_bytes{0};
+
 }  // namespace
+
+DecodeCounts CachedDecodes() {
+  return {g_decodes.load(std::memory_order_relaxed),
+          g_decoded_bytes.load(std::memory_order_relaxed)};
+}
 
 Column::Column(TypeTag type, Storage storage)
     : type_(type), storage_(std::move(storage)) {
@@ -49,35 +57,18 @@ void Column::AttachEncoding(EncodingPtr enc) {
 
 void Column::DecodeSlow() const {
   std::call_once(decode_once_, [this] {
-    switch (type_) {
-      case TypeTag::kInt:
-      case TypeTag::kDate: {
-        std::vector<int32_t> v;
+    VisitPhysical(type_, [&](auto tag) {
+      using T = typename decltype(tag)::type;
+      if constexpr (kEncodable<T>) {
+        std::vector<T> v;
         encoding_->DecodeTo(&v);
         storage_ = std::move(v);
-        break;
-      }
-      case TypeTag::kLng: {
-        std::vector<int64_t> v;
-        encoding_->DecodeTo(&v);
-        storage_ = std::move(v);
-        break;
-      }
-      case TypeTag::kOid: {
-        std::vector<Oid> v;
-        encoding_->DecodeTo(&v);
-        storage_ = std::move(v);
-        break;
-      }
-      case TypeTag::kStr: {
-        std::vector<std::string> v;
-        encoding_->DecodeStrings(&v);
-        storage_ = std::move(v);
-        break;
-      }
-      default:
+      } else {
         RDB_UNREACHABLE();
-    }
+      }
+    });
+    g_decodes.fetch_add(1, std::memory_order_relaxed);
+    g_decoded_bytes.fetch_add(encoding_->RawBytes(), std::memory_order_relaxed);
     decoded_.store(true, std::memory_order_release);
   });
 }
@@ -89,21 +80,31 @@ size_t Column::size() const {
 
 Scalar Column::GetScalar(size_t i) const {
   RDB_CHECK(i < size());
+  // One code, not the whole column: exporting a few rows of an encoded
+  // intermediate must not cache its decode.
+  auto at = [&](auto tag) -> typename decltype(tag)::type {
+    using T = typename decltype(tag)::type;
+    if constexpr (kEncodable<T>) {
+      if (native_ && !decoded_.load(std::memory_order_acquire))
+        return encoding_->At<T>(i);
+    }
+    return Data<T>()[i];
+  };
   switch (type_) {
     case TypeTag::kBit:
-      return Scalar::Bit(Data<int8_t>()[i] != 0);
+      return Scalar::Bit(at(PhysTag<int8_t>{}) != 0);
     case TypeTag::kInt:
-      return Scalar::Int(Data<int32_t>()[i]);
+      return Scalar::Int(at(PhysTag<int32_t>{}));
     case TypeTag::kDate:
-      return Scalar::DateVal(Data<int32_t>()[i]);
+      return Scalar::DateVal(at(PhysTag<int32_t>{}));
     case TypeTag::kLng:
-      return Scalar::Lng(Data<int64_t>()[i]);
+      return Scalar::Lng(at(PhysTag<int64_t>{}));
     case TypeTag::kDbl:
-      return Scalar::Dbl(Data<double>()[i]);
+      return Scalar::Dbl(at(PhysTag<double>{}));
     case TypeTag::kOid:
-      return Scalar::OidVal(Data<Oid>()[i]);
+      return Scalar::OidVal(at(PhysTag<Oid>{}));
     case TypeTag::kStr:
-      return Scalar::Str(Data<std::string>()[i]);
+      return Scalar::Str(at(PhysTag<std::string>{}));
     case TypeTag::kVoid:
       break;
   }
@@ -111,10 +112,13 @@ Scalar Column::GetScalar(size_t i) const {
 }
 
 void Column::ComputeSorted() {
-  if (native_) DecodeSlow();
-  sorted_ = std::visit(
-      [](const auto& v) { return std::is_sorted(v.begin(), v.end()); },
-      storage_);
+  const size_t n = size();
+  sorted_ = VisitPhysical(type_, [&](auto tag) {
+    using T = typename decltype(tag)::type;
+    std::vector<T> scratch;
+    const T* v = Values<T>(0, n, &scratch);
+    return std::is_sorted(v, v + n);
+  });
 }
 
 }  // namespace recycledb

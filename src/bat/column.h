@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -15,6 +16,23 @@ namespace recycledb {
 
 class Column;
 using ColumnPtr = std::shared_ptr<const Column>;
+
+/// Process-wide count of cached whole-column decodes of encoded-native
+/// columns (Column::Data) and the raw bytes they materialised. Exported by
+/// QueryService::MetricsSnapshot as bat_decodes / bat_decoded_bytes: a
+/// kernel that falls back to Data() shows up here.
+struct DecodeCounts {
+  uint64_t decodes = 0;
+  uint64_t bytes = 0;
+};
+DecodeCounts CachedDecodes();
+
+/// Physical types an encoding can represent (FOR integers, dictionary
+/// strings); only columns of these types can be encoded-native.
+template <typename T>
+inline constexpr bool kEncodable =
+    std::is_same_v<T, int32_t> || std::is_same_v<T, int64_t> ||
+    std::is_same_v<T, Oid> || std::is_same_v<T, std::string>;
 
 /// A typed, immutable column of values: the physical storage unit behind a
 /// BAT side. Columns are shared freely between BATs via shared_ptr, which is
@@ -40,19 +58,39 @@ class Column {
     return std::make_shared<Column>(type, Storage(std::move(v)));
   }
 
-  /// Builds an encoded-native column: the encoding IS the storage and raw
-  /// values materialise lazily on the first Data() access (thread-safe).
-  /// MemoryBytes() reports the encoded size and stays stable across the
-  /// decode, so pool byte attribution never shifts under a live entry.
+  /// Builds an encoded-native column: the encoding IS the storage. Kernels
+  /// read its codes or decode the rows they need into scratch (Values);
+  /// only Data() materialises — and caches — the whole raw column
+  /// (thread-safe, counted by CachedDecodes()). MemoryBytes() reports the
+  /// encoded size and stays stable across that decode, so pool byte
+  /// attribution never shifts under a live entry — which is also why the
+  /// cached copy is memory no budget sees, and why kernels avoid it.
   static std::shared_ptr<Column> MakeEncoded(TypeTag type, EncodingPtr enc);
 
   TypeTag type() const { return type_; }
   size_t size() const;
 
+  /// The whole raw column. On an encoded-native column the first call
+  /// decodes and caches it; kernels use Values() instead.
   template <typename T>
   const std::vector<T>& Data() const {
     if (native_ && !decoded_.load(std::memory_order_acquire)) DecodeSlow();
     return std::get<std::vector<T>>(storage_);
+  }
+
+  /// Raw values of rows [offset, offset + n). Raw storage is returned in
+  /// place; an encoded-native column that is not already decoded decodes
+  /// just those rows into `*scratch`, which must outlive the pointer. The
+  /// column itself never changes.
+  template <typename T>
+  const T* Values(size_t offset, size_t n, std::vector<T>* scratch) const {
+    if constexpr (kEncodable<T>) {
+      if (native_ && !decoded_.load(std::memory_order_acquire)) {
+        encoding_->DecodeTo(scratch, offset, n);
+        return scratch->data();
+      }
+    }
+    return std::get<std::vector<T>>(storage_).data() + offset;
   }
 
   /// The attached encoding, or null. Kernels probe this for compressed

@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -30,9 +31,12 @@ using EncodingPtr = std::shared_ptr<const ColumnEncoding>;
 ///    dictionary value and then mapped over the codes.
 ///
 /// An encoding is immutable and hangs off a Column either as a sidecar next
-/// to raw storage (persistent columns, see Catalog::BuildEncodings) or as
-/// the column's only representation (encoded-native intermediates, which
-/// decode lazily on first raw access — Column::Data).
+/// to raw storage (persistent columns: the loaders finish with
+/// Catalog::BuildEncodings) or as the column's only representation
+/// (encoded-native intermediates: every gather out of an encoded column
+/// stays in code space). Kernels read the codes directly where they can;
+/// elsewhere they decode the range they read into scratch
+/// (Column::Values) — see docs/ENGINE.md.
 class ColumnEncoding {
  public:
   enum class Kind { kFor, kDict };
@@ -76,6 +80,24 @@ class ColumnEncoding {
     return std::visit(std::forward<F>(f), codes_);
   }
 
+  /// The decoded value of row `i`; T is the column's physical type
+  /// (std::string for kDict). One code lookup — for point reads such as
+  /// Column::GetScalar and binary searches, not for scans.
+  template <typename T>
+  T At(size_t i) const {
+    return VisitCodes([&](const auto& codes) -> T {
+      using C = typename std::decay_t<decltype(codes)>::value_type;
+      const C c = codes[i];
+      if constexpr (std::is_same_v<T, std::string>) {
+        return (*dict_)[c];
+      } else {
+        if (c == NilCode<C>()) return NilOf<T>();
+        return static_cast<T>(static_cast<uint64_t>(base_) +
+                              static_cast<uint64_t>(c));
+      }
+    });
+  }
+
   /// Builds a FOR encoding over an integer vector, or null when no code
   /// width narrower than sizeof(T) fits the non-nil value range. T is one
   /// of int32_t, int64_t, Oid.
@@ -83,8 +105,9 @@ class ColumnEncoding {
   static EncodingPtr TryFor(const std::vector<T>& vals);
 
   /// Builds a dictionary encoding over a string vector, or null when the
-  /// distinct count exceeds `max_distinct` or the codes would not be
-  /// narrower than the raw strings.
+  /// distinct count exceeds `max_distinct`. A column longer than
+  /// `max_distinct` whose first rows are nearly all distinct is refused
+  /// after that prefix instead of after `max_distinct` distinct values.
   static EncodingPtr TryDict(const std::vector<std::string>& vals,
                              size_t max_distinct = 1u << 16);
 
@@ -94,11 +117,12 @@ class ColumnEncoding {
   static EncodingPtr Gather(const ColumnEncoding& src, size_t offset,
                             const std::vector<uint32_t>& sel);
 
-  /// Decodes into raw physical storage for `type` (the lazy-decode path of
-  /// encoded-native columns).
+  /// Decodes rows [offset, offset + n) — by default every row — into raw
+  /// physical storage: T is int32_t, int64_t or Oid for kFor and
+  /// std::string for kDict.
   template <typename T>
-  void DecodeTo(std::vector<T>* out) const;
-  void DecodeStrings(std::vector<std::string>* out) const;
+  void DecodeTo(std::vector<T>* out, size_t offset = 0,
+                size_t n = SIZE_MAX) const;
 
   ColumnEncoding(Kind kind, Codes codes, int64_t base,
                  std::shared_ptr<const std::vector<std::string>> dict,
@@ -112,14 +136,6 @@ class ColumnEncoding {
   bool owns_dict_ = false;
   size_t raw_bytes_ = 0;
 };
-
-/// Process-wide switch for producing encoded-native *intermediates*: when
-/// on, gathers out of encoded source columns (TakeSide) keep the compressed
-/// form instead of materialising raw values, so pool entries are charged at
-/// their encoded size. Off by default — every existing byte-accounting
-/// invariant is preserved unless a server/bench opts in.
-bool EncodedIntermediatesEnabled();
-void SetEncodedIntermediates(bool on);
 
 }  // namespace recycledb
 

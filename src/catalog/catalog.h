@@ -286,13 +286,13 @@ class Catalog {
   /// Attaches compressed sidecars to the loaded persistent columns:
   /// frame-of-reference for integer/date/oid columns, dictionary for string
   /// columns, where profitable. The raw vectors stay in place — an attached
-  /// encoding only gives the vectorised kernels a compressed representation
-  /// to scan and TakeSide a code array to gather, so binds, accounting and
-  /// results are unchanged. Serving-time only: call after bulk load and
-  /// before queries run, under the same external serialisation as DDL
-  /// (encodings are not maintained across commits; columns replaced by a
-  /// delta merge simply lose their sidecar). Returns the number of columns
-  /// that got an encoding.
+  /// encoding gives the kernels a compressed representation to scan and
+  /// group, and TakeSide a code array to gather, so binds and results are
+  /// unchanged. The TPC-H and SkyServer loaders end with it. Call after
+  /// bulk load and before queries run, under the same external
+  /// serialisation as DDL (encodings are not maintained across commits;
+  /// columns replaced by a delta merge are raw). Returns the number of
+  /// columns that got an encoding.
   size_t BuildEncodings();
 
  private:

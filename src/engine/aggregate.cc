@@ -12,9 +12,10 @@ namespace {
 
 template <typename T>
 Result<Scalar> AggrTyped(AggFn fn, const BatPtr& b) {
-  AnySideReader<T> reader(b->tail());
   size_t n = b->size();
+  // count(*) is the row count: no value is read, so nothing decodes.
   if (fn == AggFn::kCount) return Scalar::Lng(static_cast<int64_t>(n));
+  AnySideReader<T> reader(b->tail(), n);
 
   if constexpr (std::is_same_v<T, std::string>) {
     if (fn == AggFn::kMin || fn == AggFn::kMax) {

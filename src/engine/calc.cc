@@ -113,13 +113,13 @@ Result<BatPtr> CalcBin(BinOp op, const BatPtr& l, const BatPtr& r) {
     if constexpr (std::is_same_v<LT, std::string>) {
       return Status::TypeMismatch("calc over strings");
     } else {
-      AnySideReader<LT> lr(l->tail());
+      AnySideReader<LT> lr(l->tail(), n);
       return VisitPhysical(rt, [&](auto rtag) -> Result<BatPtr> {
         using RT = typename decltype(rtag)::type;
         if constexpr (std::is_same_v<RT, std::string>) {
           return Status::TypeMismatch("calc over strings");
         } else {
-          AnySideReader<RT> rr(r->tail());
+          AnySideReader<RT> rr(r->tail(), n);
           return CalcLoop(
               op, dbl, n, l->head(),
               [&](size_t i) { return static_cast<double>(lr[i]); },
@@ -145,7 +145,7 @@ Result<BatPtr> CalcBinConst(BinOp op, const BatPtr& l, const Scalar& r) {
     if constexpr (std::is_same_v<LT, std::string>) {
       return Status::TypeMismatch("calc over strings");
     } else {
-      AnySideReader<LT> lr(l->tail());
+      AnySideReader<LT> lr(l->tail(), n);
       return CalcLoop(
           op, dbl, n, l->head(),
           [&](size_t i) { return static_cast<double>(lr[i]); },
@@ -169,7 +169,7 @@ Result<BatPtr> CalcConstBin(BinOp op, const Scalar& l, const BatPtr& r) {
     if constexpr (std::is_same_v<RT, std::string>) {
       return Status::TypeMismatch("calc over strings");
     } else {
-      AnySideReader<RT> rr(r->tail());
+      AnySideReader<RT> rr(r->tail(), n);
       return CalcLoop(
           op, dbl, n, r->head(), [&](size_t) { return lv; },
           [&](size_t i) { return static_cast<double>(rr[i]); },
@@ -183,8 +183,8 @@ Result<BatPtr> CalcYear(const BatPtr& b) {
   const BatSide& tail = b->tail();
   if (tail.LogicalType() != TypeTag::kDate)
     return Status::TypeMismatch("year() over non-date bat");
-  AnySideReader<int32_t> reader(tail);
   size_t n = b->size();
+  AnySideReader<int32_t> reader(tail, n);
   std::vector<int32_t> out(n);
   for (size_t i = 0; i < n; ++i) {
     int32_t d = reader[i];
@@ -211,8 +211,8 @@ Result<BatPtr> CalcCmp(CmpOp op, const BatPtr& l, const BatPtr& r) {
   size_t n = l->size();
   return VisitPhysical(lt, [&](auto tag) -> Result<BatPtr> {
     using T = typename decltype(tag)::type;
-    AnySideReader<T> lr(l->tail());
-    AnySideReader<T> rr(r->tail());
+    AnySideReader<T> lr(l->tail(), n);
+    AnySideReader<T> rr(r->tail(), n);
     std::vector<int8_t> out(n);
     for (size_t i = 0; i < n; ++i) {
       const T& a = lr[i];

@@ -2,25 +2,30 @@
 #define RECYCLEDB_ENGINE_DETAIL_H_
 
 #include <type_traits>
+#include <vector>
 
 #include "bat/bat.h"
 #include "util/check.h"
 
 namespace recycledb::engine::detail {
 
-/// Reads a side that may be dense (oid sequence) or materialised. For
-/// non-oid physical types the side must be materialised.
+/// Reads the first `n` rows of a side that may be dense (oid sequence) or
+/// materialised. For non-oid physical types the side must be materialised.
+/// An encoded-native side is decoded into the reader's own scratch, never
+/// into the column (Column::Values).
 template <typename T>
 class AnySideReader {
  public:
-  explicit AnySideReader(const BatSide& s) {
+  AnySideReader(const BatSide& s, size_t n) {
     if (s.dense()) {
       dense_ = true;
       seq_ = s.seq;
     } else {
-      data_ = s.col->Data<T>().data() + s.offset;
+      data_ = s.col->Values<T>(s.offset, n, &scratch_);
     }
   }
+  AnySideReader(const AnySideReader&) = delete;
+  AnySideReader& operator=(const AnySideReader&) = delete;
 
   T operator[](size_t i) const {
     if constexpr (std::is_same_v<T, Oid>) {
@@ -35,19 +40,19 @@ class AnySideReader {
   bool dense_ = false;
   Oid seq_ = 0;
   const T* data_ = nullptr;
+  std::vector<T> scratch_;
 };
 
-/// Contiguous view of a side's values for the vectorised kernels,
-/// materialising a dense oid run into `*tmp` when necessary so callers
-/// always see a raw array. For materialised sides this is a zero-copy
-/// pointer — in particular string sides are read in place instead of
-/// copied element-wise through AnySideReader.
+/// Contiguous view of the first `n` values of a side for the vectorised
+/// kernels. A materialised raw side is read in place (zero-copy — string
+/// sides in particular are not copied); a dense oid run materialises, and
+/// an encoded-native side decodes, into `*tmp`, so the column's own
+/// storage never grows behind the pool's byte accounting.
 template <typename T>
 const T* RawSideArray(const BatSide& s, size_t n, std::vector<T>* tmp) {
-  if (!s.dense()) return s.col->Data<T>().data() + s.offset;
-  AnySideReader<T> reader(s);
+  if (!s.dense()) return s.col->Values<T>(s.offset, n, tmp);
   tmp->resize(n);
-  for (size_t i = 0; i < n; ++i) (*tmp)[i] = reader[i];
+  for (size_t i = 0; i < n; ++i) (*tmp)[i] = s.seq + i;
   return tmp->data();
 }
 

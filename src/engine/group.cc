@@ -1,3 +1,4 @@
+#include <array>
 #include <functional>
 
 #include "engine/detail.h"
@@ -6,7 +7,6 @@
 
 namespace recycledb::engine {
 
-using detail::AnySideReader;
 using detail::RawSideArray;
 
 namespace {
@@ -90,6 +90,69 @@ class GroupTable {
   uint32_t groups_ = 0;
 };
 
+/// Numbers rows [0, n) of `keys` (paired with `prev` when non-null) by
+/// group in first-occurrence order: `map[i]` (when map is non-null) gets
+/// row i's group id and `first` each group's first row. Single-byte keys
+/// without a previous grouping index a 256-slot array instead of hashing.
+template <typename K>
+void NumberGroups(const K* keys, const Oid* prev, size_t n, Oid* map,
+                  SelVector* first) {
+  if constexpr (std::is_same_v<K, uint8_t>) {
+    if (prev == nullptr) {
+      std::array<uint32_t, 256> gid;
+      gid.fill(UINT32_MAX);
+      for (size_t i = 0; i < n; ++i) {
+        uint32_t& g = gid[keys[i]];
+        if (g == UINT32_MAX) {
+          g = static_cast<uint32_t>(first->size());
+          first->push_back(static_cast<uint32_t>(i));
+        }
+        if (map != nullptr) map[i] = g;
+      }
+      return;
+    }
+  }
+  GroupTable<K> table(keys, prev);
+  for (size_t i = 0; i < n; ++i) {
+    bool fresh;
+    uint32_t g = table.Find(i, &fresh);
+    if (fresh) first->push_back(static_cast<uint32_t>(i));
+    if (map != nullptr) map[i] = g;
+  }
+}
+
+/// Calls `f(keys)` with the first `n` keys of `side`: its codes when it is
+/// encoded — codes map one-to-one to values, so groups, their ids and their
+/// first rows are the same as over the values — and its values otherwise.
+template <typename T, typename F>
+void WithKeys(const BatSide& side, size_t n, F&& f) {
+  if (!side.dense()) {
+    if (const ColumnEncoding* enc = side.col->encoding()) {
+      enc->VisitCodes(
+          [&](const auto& codes) { f(codes.data() + side.offset); });
+      return;
+    }
+  }
+  std::vector<T> tmp;
+  f(RawSideArray<T>(side, n, &tmp));
+}
+
+/// The oid heads of `side` at `rows`: a group's representative heads.
+std::vector<Oid> HeadsAt(const BatSide& side, const SelVector& rows) {
+  std::vector<Oid> out(rows.size());
+  if (side.dense()) {
+    for (size_t k = 0; k < rows.size(); ++k) out[k] = side.seq + rows[k];
+  } else if (side.col->encoded_native()) {
+    const ColumnEncoding& enc = *side.col->encoding();
+    for (size_t k = 0; k < rows.size(); ++k)
+      out[k] = enc.At<Oid>(side.offset + rows[k]);
+  } else {
+    const Oid* h = side.col->Data<Oid>().data() + side.offset;
+    for (size_t k = 0; k < rows.size(); ++k) out[k] = h[rows[k]];
+  }
+  return out;
+}
+
 }  // namespace
 
 Result<BatPtr> Kunique(const BatPtr& b) {
@@ -101,13 +164,10 @@ Result<BatPtr> Kunique(const BatPtr& b) {
   return VisitPhysical(t, [&](auto tag) -> Result<BatPtr> {
     using T = typename decltype(tag)::type;
     size_t n = b->size();
-    GroupTable<T> table(head.col->Data<T>().data() + head.offset, nullptr);
     SelVector sel;
-    for (size_t i = 0; i < n; ++i) {
-      bool fresh;
-      table.Find(i, &fresh);
-      if (fresh) sel.push_back(static_cast<uint32_t>(i));
-    }
+    WithKeys<T>(head, n, [&](const auto* keys) {
+      NumberGroups(keys, nullptr, n, nullptr, &sel);
+    });
     if (sel.size() == n) return b;
     return Bat::Make(TakeSide(head, n, sel), TakeSide(b->tail(), n, sel),
                      sel.size());
@@ -120,27 +180,20 @@ namespace {
 /// (SubGroupBy) or as one group (GroupBy).
 template <typename T>
 GroupResult GroupByTyped(const BatPtr& keys, const BatPtr* prev_map) {
-  AnySideReader<Oid> heads(keys->head());
   size_t n = keys->size();
-  // Key reads hoisted to a raw array: materialised tails (in particular
-  // string tails) are read in place instead of copied per row.
-  std::vector<T> ktmp;
-  const T* kv = RawSideArray<T>(keys->tail(), n, &ktmp);
   std::vector<Oid> ptmp;
   const Oid* prev = prev_map == nullptr
                         ? nullptr
                         : RawSideArray<Oid>((*prev_map)->tail(), n, &ptmp);
-  GroupTable<T> table(kv, prev);
   std::vector<Oid> map(n);
-  std::vector<Oid> reps;
-  for (size_t i = 0; i < n; ++i) {
-    bool fresh;
-    map[i] = table.Find(i, &fresh);
-    if (fresh) reps.push_back(heads[i]);
-  }
+  SelVector first;
+  WithKeys<T>(keys->tail(), n, [&](const auto* kv) {
+    NumberGroups(kv, prev, n, map.data(), &first);
+  });
   GroupResult out;
   out.map = Bat::DenseHead(Column::Make(TypeTag::kOid, std::move(map)));
-  auto reps_col = Column::Make(TypeTag::kOid, std::move(reps));
+  auto reps_col =
+      Column::Make(TypeTag::kOid, HeadsAt(keys->head(), first));
   reps_col->set_key(true);
   out.reps = Bat::DenseHead(std::move(reps_col));
   return out;

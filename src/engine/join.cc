@@ -42,8 +42,7 @@ BatPtr FullMatchJoin(const BatPtr& l, const BatPtr& r, const V* vals,
                      Pos pos) {
   const size_t ln = l->size();
   const BatSide& rtail = r->tail();
-  if (rtail.dense() ||
-      (EncodedIntermediatesEnabled() && rtail.col->encoding() != nullptr)) {
+  if (rtail.dense() || rtail.col->encoding() != nullptr) {
     // Dense tails gather to oids, encoded ones stay in code space: both go
     // through TakeSide's position list.
     SelVector pos_r(ln);
@@ -118,7 +117,8 @@ Result<BatPtr> PositionalJoin(const BatPtr& l, const BatPtr& r) {
     });
   }
 
-  const Oid* lv = ltail.col->Data<Oid>().data() + ltail.offset;
+  std::vector<Oid> lscratch;
+  const Oid* lv = ltail.col->Values<Oid>(ltail.offset, ln, &lscratch);
   if (AllInWindow(lv, ln, seq, rn))
     return FullMatchJoin(l, r, lv, [&](size_t i) { return lv[i] - seq; });
 
@@ -139,8 +139,9 @@ Result<BatPtr> PositionalJoin(const BatPtr& l, const BatPtr& r) {
 template <typename T>
 Result<BatPtr> HashJoin(const BatPtr& l, const BatPtr& r) {
   const BatSide& rhead = r->head();
-  const T* rdata = rhead.col->Data<T>().data() + rhead.offset;
   size_t rn = r->size();
+  std::vector<T> rtmp;
+  const T* rdata = RawSideArray<T>(rhead, rn, &rtmp);
   HashIndexT<T> index(rdata, rn);
 
   const BatSide& ltail = l->tail();
@@ -221,7 +222,8 @@ Result<BatPtr> HashSemijoin(const BatPtr& l, const BatPtr& r, bool anti) {
 
   const BatSide& lhead = l->head();
   size_t ln = l->size();
-  const T* keys = lhead.col->Data<T>().data() + lhead.offset;
+  std::vector<T> ltmp;
+  const T* keys = RawSideArray<T>(lhead, ln, &ltmp);
   std::vector<uint8_t> hits(ln);
   vec::BatchContains(index, keys, ln, hits.data());
 

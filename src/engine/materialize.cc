@@ -32,32 +32,23 @@ BatSide TakeSide(const BatSide& side, size_t count, const SelVector& sel) {
     for (uint32_t i : sel) out.push_back(side.seq + i);
     // A gather from a dense sequence at increasing positions stays sorted.
     bool increasing = IncreasingSel(sel);
-    if (EncodedIntermediatesEnabled()) {
-      // Compress the fresh oid run: dense-derived gathers are the dominant
-      // intermediate shape, and FOR usually narrows them to u16/u32 codes.
-      if (EncodingPtr enc = ColumnEncoding::TryFor<Oid>(out)) {
-        auto col = Column::MakeEncoded(TypeTag::kOid, std::move(enc));
-        col->set_sorted(increasing);
-        col->set_key(increasing);
-        return BatSide::Materialized(std::move(col));
-      }
-    }
-    auto col = Column::Make(TypeTag::kOid, std::move(out));
+    // Compress the fresh oid run: dense-derived gathers are the dominant
+    // intermediate shape, and FOR usually narrows them to u16/u32 codes.
+    EncodingPtr enc = ColumnEncoding::TryFor<Oid>(out);
+    auto col = enc ? Column::MakeEncoded(TypeTag::kOid, std::move(enc))
+                   : Column::Make(TypeTag::kOid, std::move(out));
     col->set_sorted(increasing);
     col->set_key(increasing);
     return BatSide::Materialized(std::move(col));
   }
-  if (EncodedIntermediatesEnabled()) {
+  if (const EncodingPtr& enc = side.col->shared_encoding()) {
     // Gather in code space: the result column carries the (shared-dict or
     // same-base) encoding and is charged to the recycler at encoded size;
     // downstream kernels consume the codes without decompressing.
-    if (EncodingPtr enc = side.col->shared_encoding()) {
-      if (EncodingPtr g = ColumnEncoding::Gather(*enc, side.offset, sel)) {
-        auto col = Column::MakeEncoded(side.type, std::move(g));
-        if (side.col->sorted() && IncreasingSel(sel)) col->set_sorted(true);
-        return BatSide::Materialized(std::move(col));
-      }
-    }
+    auto col = Column::MakeEncoded(
+        side.type, ColumnEncoding::Gather(*enc, side.offset, sel));
+    col->set_sorted(side.col->sorted() && IncreasingSel(sel));
+    return BatSide::Materialized(std::move(col));
   }
   return GatherRaw(
       side, sel.size(), [&](size_t k) { return sel[k]; },
@@ -93,7 +84,8 @@ BatSide ConcatSides(const std::vector<const Bat*>& bats, bool head_side) {
           RDB_UNREACHABLE();
         }
       } else {
-        const T* src = s.col->Data<T>().data() + s.offset;
+        std::vector<T> scratch;
+        const T* src = s.col->Values<T>(s.offset, n, &scratch);
         out.insert(out.end(), src, src + n);
       }
     }

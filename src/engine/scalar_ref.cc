@@ -24,8 +24,8 @@ Result<BatPtr> ScanRangeSelect(const BatPtr& b, const Scalar& lo,
     using T = typename decltype(tag)::type;
     T lov = has_lo ? lo.Get<T>() : T{};
     T hiv = has_hi ? hi.Get<T>() : T{};
-    AnySideReader<T> reader(tail);
     size_t n = b->size();
+    AnySideReader<T> reader(tail, n);
     SelVector sel;
     for (size_t i = 0; i < n; ++i) {
       const T& v = reader[i];
@@ -54,8 +54,8 @@ Result<BatPtr> HashJoin(const BatPtr& l, const BatPtr& r) {
     const T* rdata = rhead.col->Data<T>().data() + rhead.offset;
     size_t rn = r->size();
     HashIndexT<T> index(rdata, rn);
-    AnySideReader<T> lreader(l->tail());
     size_t ln = l->size();
+    AnySideReader<T> lreader(l->tail(), ln);
     SelVector sel_l, pos_r;
     for (size_t i = 0; i < ln; ++i) {
       const T& v = lreader[i];
@@ -76,9 +76,9 @@ Result<BatPtr> GroupedAggr(AggFn fn, const BatPtr& vals, const BatPtr& map,
   TypeTag t = vals->tail().LogicalType();
   return VisitPhysical(t, [&](auto tag) -> Result<BatPtr> {
     using T = typename decltype(tag)::type;
-    AnySideReader<T> vreader(vals->tail());
-    AnySideReader<Oid> greader(map->tail());
     size_t n = vals->size();
+    AnySideReader<T> vreader(vals->tail(), n);
+    AnySideReader<Oid> greader(map->tail(), n);
     if (fn == AggFn::kCount) {
       std::vector<int64_t> cnt(ngroups, 0);
       for (size_t i = 0; i < n; ++i) ++cnt[greader[i]];

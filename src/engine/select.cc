@@ -22,41 +22,58 @@ constexpr bool NilSortsHigh() {
   return std::is_same_v<T, Oid>;
 }
 
-/// Binary-search range selection over a sorted materialised tail. Returns
-/// a zero-copy view of the qualifying run.
-template <typename T>
-BatPtr SortedRangeSelect(const BatPtr& b, bool has_lo, const T& lov,
+/// First i in [0, n) with !pred(i), for a pred that holds on a prefix.
+template <typename Pred>
+size_t PartitionPoint(size_t n, Pred pred) {
+  size_t lo = 0, hi = n;
+  while (lo < hi) {
+    size_t mid = lo + (hi - lo) / 2;
+    if (pred(mid)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+/// Binary-search range selection over a sorted materialised tail whose
+/// i-th value is `get(i)`. Returns a zero-copy view of the qualifying run.
+template <typename T, typename Get>
+BatPtr SortedRangeSelect(const BatPtr& b, Get get, bool has_lo, const T& lov,
                          bool has_hi, const T& hiv, bool lo_inc, bool hi_inc) {
   const BatSide& tail = b->tail();
-  const T* data = tail.col->Data<T>().data() + tail.offset;
   size_t n = b->size();
-  const T* begin;
+  auto lower = [&](const T& v) {
+    return PartitionPoint(n, [&](size_t i) { return get(i) < v; });
+  };
+  auto upper = [&](const T& v) {
+    return PartitionPoint(n, [&](size_t i) { return !(v < get(i)); });
+  };
+  size_t begin;
   if (has_lo) {
-    begin = lo_inc ? std::lower_bound(data, data + n, lov)
-                   : std::upper_bound(data, data + n, lov);
+    begin = lo_inc ? lower(lov) : upper(lov);
   } else if (NilSortsHigh<T>()) {
-    begin = data;  // nils sort last here; the end side clips them
+    begin = 0;  // nils sort last here; the end side clips them
   } else {
     // Unbounded from below still excludes nils, which sort lowest.
-    begin = std::upper_bound(data, data + n, NilOf<T>());
+    begin = upper(NilOf<T>());
   }
-  const T* end;
+  size_t end;
   if (has_hi) {
-    end = hi_inc ? std::upper_bound(data, data + n, hiv)
-                 : std::lower_bound(data, data + n, hiv);
+    end = hi_inc ? upper(hiv) : lower(hiv);
     if (NilSortsHigh<T>() && hiv == NilOf<T>())
-      end = std::lower_bound(data, data + n, hiv);  // never admit nils
+      end = lower(hiv);  // never admit nils
   } else if (NilSortsHigh<T>()) {
     // Unbounded from above: the max-sentinel nils are the tail of the run.
-    end = std::lower_bound(data, data + n, NilOf<T>());
+    end = lower(NilOf<T>());
   } else {
-    end = data + n;
+    end = n;
   }
   if (end < begin) end = begin;
-  size_t off = static_cast<size_t>(begin - data);
-  size_t len = static_cast<size_t>(end - begin);
-  return Bat::Make(SliceSide(b->head(), off, len),
-                   SliceSide(tail, off, len), len);
+  size_t len = end - begin;
+  return Bat::Make(SliceSide(b->head(), begin, len),
+                   SliceSide(tail, begin, len), len);
 }
 
 /// Builds the select result from a candidate bitmap over the tail.
@@ -74,8 +91,9 @@ template <typename T>
 BatPtr ScanRangeSelect(const BatPtr& b, bool has_lo, const T& lov, bool has_hi,
                        const T& hiv, bool lo_inc, bool hi_inc) {
   const BatSide& tail = b->tail();
-  const T* data = tail.col->Data<T>().data() + tail.offset;
   size_t n = b->size();
+  std::vector<T> scratch;
+  const T* data = tail.col->Values<T>(tail.offset, n, &scratch);
   std::vector<uint64_t> bits(vec::BitmapWords(n));
   vec::RangeBits(data, n, has_lo, lov, has_hi, hiv, lo_inc, hi_inc,
                  bits.data());
@@ -189,7 +207,21 @@ Result<BatPtr> Select(const BatPtr& b, const Scalar& lo, const Scalar& hi,
     T lov = has_lo ? lo.Get<T>() : T{};
     T hiv = has_hi ? hi.Get<T>() : T{};
     if (tail.col->sorted()) {
-      return SortedRangeSelect<T>(b, has_lo, lov, has_hi, hiv, lo_inc, hi_inc);
+      if constexpr (kEncodable<T>) {
+        if (tail.col->encoded_native()) {
+          // Probe the codes one at a time: a binary search decodes
+          // O(log n) values, not the column.
+          const ColumnEncoding* enc = tail.col->encoding();
+          const size_t off = tail.offset;
+          return SortedRangeSelect<T>(
+              b, [&](size_t i) { return enc->At<T>(off + i); }, has_lo, lov,
+              has_hi, hiv, lo_inc, hi_inc);
+        }
+      }
+      const T* data = tail.col->Data<T>().data() + tail.offset;
+      return SortedRangeSelect<T>(
+          b, [data](size_t i) -> const T& { return data[i]; }, has_lo, lov,
+          has_hi, hiv, lo_inc, hi_inc);
     }
     if (const ColumnEncoding* enc = tail.col->encoding()) {
       if constexpr (std::is_same_v<T, std::string>) {
@@ -222,7 +254,7 @@ Result<BatPtr> AntiUselect(const BatPtr& b, const Scalar& v) {
     const T& key = v.Get<T>();
     size_t n = b->size();
     if (tail.dense()) {
-      AnySideReader<T> reader(tail);
+      AnySideReader<T> reader(tail, n);
       SelVector sel;
       sel.reserve(n);
       for (size_t i = 0; i < n; ++i) {
@@ -233,7 +265,8 @@ Result<BatPtr> AntiUselect(const BatPtr& b, const Scalar& v) {
       return Bat::Make(TakeSide(b->head(), n, sel), TakeSide(tail, n, sel),
                        sel.size());
     }
-    const T* data = tail.col->Data<T>().data() + tail.offset;
+    std::vector<T> scratch;
+    const T* data = tail.col->Values<T>(tail.offset, n, &scratch);
     std::vector<uint64_t> bits(vec::BitmapWords(n));
     vec::NotEqBits(data, n, key, bits.data());
     SelVector sel;
@@ -270,7 +303,9 @@ Result<BatPtr> LikeSelect(const BatPtr& b, const std::string& pattern) {
                        sel.size());
     });
   }
-  const std::string* data = tail.col->Data<std::string>().data() + tail.offset;
+  std::vector<std::string> scratch;
+  const std::string* data =
+      tail.col->Values<std::string>(tail.offset, n, &scratch);
   std::vector<uint64_t> bits(vec::BitmapWords(n));
   vec::PredBits(data, n, bits.data(), [&](const std::string& s) -> bool {
     return !s.empty() && pat.Match(s);
@@ -288,7 +323,8 @@ Result<BatPtr> SelectNotNil(const BatPtr& b) {
   return VisitPhysical(t, [&](auto tag) -> Result<BatPtr> {
     using T = typename decltype(tag)::type;
     size_t n = b->size();
-    const T* data = tail.col->Data<T>().data() + tail.offset;
+    std::vector<T> scratch;
+    const T* data = tail.col->Values<T>(tail.offset, n, &scratch);
     std::vector<uint64_t> bits(vec::BitmapWords(n));
     vec::NotNilBits(data, n, bits.data());
     if (vec::CountBits(bits.data(), n) == n)

@@ -19,7 +19,7 @@ Result<BatPtr> SortTail(const BatPtr& b) {
   TypeTag t = tail.LogicalType();
   return VisitPhysical(t, [&](auto tag) -> Result<BatPtr> {
     using T = typename decltype(tag)::type;
-    AnySideReader<T> reader(tail);
+    AnySideReader<T> reader(tail, n);
     SelVector sel(n);
     std::iota(sel.begin(), sel.end(), 0u);
     std::stable_sort(sel.begin(), sel.end(), [&](uint32_t a, uint32_t c) {
@@ -39,7 +39,7 @@ Result<BatPtr> SortTailRev(const BatPtr& b) {
   TypeTag t = tail.LogicalType();
   return VisitPhysical(t, [&](auto tag) -> Result<BatPtr> {
     using T = typename decltype(tag)::type;
-    AnySideReader<T> reader(tail);
+    AnySideReader<T> reader(tail, n);
     SelVector sel(n);
     std::iota(sel.begin(), sel.end(), 0u);
     // Stable on the ORIGINAL order (like SortTail): ties keep their input

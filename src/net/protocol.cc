@@ -401,7 +401,8 @@ void EncodeSide(std::string* out, const BatSide& side, size_t count) {
   PutU8(out, WireTypeTag(side.type));
   VisitPhysical(side.type, [&](auto tag) {
     using T = typename decltype(tag)::type;
-    const T* data = side.col->Data<T>().data() + side.offset;
+    std::vector<T> scratch;
+    const T* data = side.col->Values<T>(side.offset, count, &scratch);
     for (size_t i = 0; i < count; ++i) {
       if constexpr (std::is_same_v<T, int8_t>) {
         PutU8(out, static_cast<uint8_t>(data[i]));

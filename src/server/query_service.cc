@@ -788,6 +788,12 @@ obs::RegistrySnapshot QueryService::MetricsSnapshot() const {
   snap.AddCounter("pool_shared_locks", s.pool_shared_locks);
   snap.AddCounter("pool_all_stripe_ops", s.pool_all_stripe_ops);
   snap.AddGauge("pool_stripes", s.pool_stripes);
+  // Process-wide: whole-column decodes cached on encoded intermediates
+  // (Column::Data). Kernels decode into scratch, so a rising count means a
+  // raw-reading fallback crept back in.
+  DecodeCounts dc = CachedDecodes();
+  snap.AddCounter("bat_decodes", dc.decodes);
+  snap.AddCounter("bat_decoded_bytes", dc.bytes);
   return snap;
 }
 

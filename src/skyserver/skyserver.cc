@@ -119,6 +119,7 @@ Status LoadSkyServer(Catalog* cat, const SkyConfig& cfg) {
     RDB_RETURN_NOT_OK(cat->LoadColumn<std::string>("dbobjects", "description",
                                                    std::move(text)));
   }
+  cat->BuildEncodings();
   return Status::OK();
 }
 

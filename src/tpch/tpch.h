@@ -19,10 +19,37 @@ struct TpchConfig {
   uint64_t seed = 42;
 };
 
-/// Populates `cat` with the eight TPC-H tables, spec-like value
-/// distributions, and the foreign-key join indices MonetDB's SQL compiler
-/// exploits (li_orders, li_part, li_supp, ord_cust, ps_part, ps_supp,
-/// cust_nation, supp_nation, nation_region).
+/// The eight TPC-H tables, in the order LoadTpch creates them.
+inline constexpr const char* kTables[] = {"region",   "nation", "supplier",
+                                          "customer", "part",   "partsupp",
+                                          "orders",   "lineitem"};
+
+/// A foreign-key join index: child_table.child_key -> parent_table.parent_key.
+struct FkIndexDef {
+  const char* name;
+  const char* child_table;
+  const char* child_key;
+  const char* parent_table;
+  const char* parent_key;
+};
+
+/// The join indices MonetDB's SQL compiler exploits, as LoadTpch registers
+/// them.
+inline constexpr FkIndexDef kFkIndexes[] = {
+    {"li_orders", "lineitem", "l_orderkey", "orders", "o_orderkey"},
+    {"li_part", "lineitem", "l_partkey", "part", "p_partkey"},
+    {"li_supp", "lineitem", "l_suppkey", "supplier", "s_suppkey"},
+    {"ord_cust", "orders", "o_custkey", "customer", "c_custkey"},
+    {"ps_part", "partsupp", "ps_partkey", "part", "p_partkey"},
+    {"ps_supp", "partsupp", "ps_suppkey", "supplier", "s_suppkey"},
+    {"cust_nation", "customer", "c_nationkey", "nation", "n_nationkey"},
+    {"supp_nation", "supplier", "s_nationkey", "nation", "n_nationkey"},
+    {"nation_region", "nation", "n_regionkey", "region", "r_regionkey"},
+};
+
+/// Populates `cat` with the eight TPC-H tables (spec-like value
+/// distributions) and kFkIndexes, then encodes the columns
+/// (Catalog::BuildEncodings).
 Status LoadTpch(Catalog* cat, const TpchConfig& cfg);
 
 /// A compiled TPC-H query template: the MAL program (already marked by the

@@ -374,27 +374,12 @@ Status LoadTpch(Catalog* cat, const TpchConfig& cfg) {
   }
 
   // --- join indices -------------------------------------------------------------
-  RDB_RETURN_NOT_OK(cat->RegisterFkIndex("li_orders", "lineitem", "l_orderkey",
-                                         "orders", "o_orderkey"));
-  RDB_RETURN_NOT_OK(cat->RegisterFkIndex("li_part", "lineitem", "l_partkey",
-                                         "part", "p_partkey"));
-  RDB_RETURN_NOT_OK(cat->RegisterFkIndex("li_supp", "lineitem", "l_suppkey",
-                                         "supplier", "s_suppkey"));
-  RDB_RETURN_NOT_OK(cat->RegisterFkIndex("ord_cust", "orders", "o_custkey",
-                                         "customer", "c_custkey"));
-  RDB_RETURN_NOT_OK(cat->RegisterFkIndex("ps_part", "partsupp", "ps_partkey",
-                                         "part", "p_partkey"));
-  RDB_RETURN_NOT_OK(cat->RegisterFkIndex("ps_supp", "partsupp", "ps_suppkey",
-                                         "supplier", "s_suppkey"));
-  RDB_RETURN_NOT_OK(cat->RegisterFkIndex("cust_nation", "customer",
-                                         "c_nationkey", "nation",
-                                         "n_nationkey"));
-  RDB_RETURN_NOT_OK(cat->RegisterFkIndex("supp_nation", "supplier",
-                                         "s_nationkey", "nation",
-                                         "n_nationkey"));
-  RDB_RETURN_NOT_OK(cat->RegisterFkIndex("nation_region", "nation",
-                                         "n_regionkey", "region",
-                                         "r_regionkey"));
+  for (const FkIndexDef& fk : kFkIndexes) {
+    RDB_RETURN_NOT_OK(cat->RegisterFkIndex(fk.name, fk.child_table,
+                                           fk.child_key, fk.parent_table,
+                                           fk.parent_key));
+  }
+  cat->BuildEncodings();
   return Status::OK();
 }
 

@@ -3,7 +3,8 @@
 // Linked with the counting operator new of alloc_counter.cc. Counts are
 // pinned as "independent of the row count", not as timings:
 //  - GroupBy over 10k rows and over 300k rows with the same 3 groups makes
-//    the same number of allocations (the group table is sized by groups);
+//    the same number of allocations (the group table is sized by groups),
+//    over raw values and over u8 dictionary codes (a 256-slot array);
 //  - a projection join whose left values all land in the right window
 //    makes three allocations for 1k and for 100k rows: the gathered tail
 //    and the bat, with no position lists and no oid head.
@@ -34,6 +35,27 @@ uint64_t GroupByAllocs(size_t rows) {
 
 TEST(KernelAllocTest, GroupByAllocationsDependOnGroupsNotRows) {
   EXPECT_EQ(GroupByAllocs(10000), GroupByAllocs(300000));
+}
+
+uint64_t CodeGroupByAllocs(size_t rows) {
+  const char* kFlags[] = {"A", "N", "R"};
+  std::vector<std::string> keys(rows);
+  for (size_t i = 0; i < rows; ++i) keys[i] = kFlags[i % 3];
+  EncodingPtr enc = ColumnEncoding::TryDict(keys);
+  EXPECT_TRUE(enc->VisitCodes([](const auto& codes) {
+    return sizeof(codes[0]) == 1;
+  }));
+  BatPtr kb = Bat::DenseHead(Column::MakeEncoded(TypeTag::kStr, enc));
+  const uint64_t before = AllocCount();
+  {
+    engine::GroupResult g = engine::GroupBy(kb).ValueOrDie();
+    EXPECT_EQ(g.reps->size(), 3u);
+  }
+  return AllocCount() - before;
+}
+
+TEST(KernelAllocTest, GroupByOverU8CodesAllocatesByGroupsNotRows) {
+  EXPECT_EQ(CodeGroupByAllocs(10000), CodeGroupByAllocs(300000));
 }
 
 uint64_t ProjectionAllocs(size_t rows, TypeTag type) {

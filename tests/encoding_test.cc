@@ -114,7 +114,7 @@ TEST(DictEncodingTest, RoundTrip) {
   EXPECT_TRUE(HoldsWidth<uint8_t>(*enc));
   EXPECT_EQ(enc->dict().size(), 5u);
   std::vector<std::string> back;
-  enc->DecodeStrings(&back);
+  enc->DecodeTo(&back);
   EXPECT_EQ(back, vals);
 }
 
@@ -138,7 +138,7 @@ TEST(DictEncodingTest, WidePathUsesU16) {
   ASSERT_NE(enc, nullptr);
   EXPECT_TRUE(HoldsWidth<uint16_t>(*enc));
   std::vector<std::string> back;
-  enc->DecodeStrings(&back);
+  enc->DecodeTo(&back);
   EXPECT_EQ(back, vals);
 }
 
@@ -165,7 +165,7 @@ TEST(GatherTest, DictGatherSharesDictionaryAndChargesCodesOnly) {
   // The shared dictionary is charged once, to the encoding that owns it.
   EXPECT_LT(sub->MemoryBytes(), enc->MemoryBytes());
   std::vector<std::string> back;
-  sub->DecodeStrings(&back);
+  sub->DecodeTo(&back);
   EXPECT_EQ(back, (std::vector<std::string>{"cc", "aa"}));
 }
 

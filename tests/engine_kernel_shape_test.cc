@@ -5,7 +5,10 @@
 //  - TakeSide keeps a dense side dense exactly for consecutive positions;
 //  - a dense-left semijoin / anti-semijoin gives the brute-force rows;
 //  - GroupBy / SubGroupBy / Kunique number groups as a std::unordered_map
-//    reference does, from 1 to 200k groups, with nils and +-0.0.
+//    reference does, from 1 to 200k groups, with nils and +-0.0;
+//  - over u8/u16/u32 FOR and dictionary codes (sidecar or encoded-native,
+//    sliced, beside a raw column) they give the value path's answers and
+//    never cache a decode.
 
 #include <gtest/gtest.h>
 
@@ -26,10 +29,6 @@ namespace recycledb {
 namespace {
 
 using engine::SelVector;
-
-struct EncodedFlagGuard {
-  ~EncodedFlagGuard() { SetEncodedIntermediates(false); }
-};
 
 /// [dense(hseq) -> oid column]: the reverse(markT(...)) candidate shape.
 BatPtr Cand(std::vector<Oid> rows, Oid hseq = 0) {
@@ -129,7 +128,6 @@ TEST(KernelShapeTest, FullMatchOverForCodesKeepsDenseHead) {
 }
 
 TEST(KernelShapeTest, FullMatchWithEncodedIntermediatesStaysInCodeSpace) {
-  EncodedFlagGuard guard;
   Rng rng(1403);
   const size_t rn = 4000;
   std::vector<int32_t> vals(rn);
@@ -138,7 +136,6 @@ TEST(KernelShapeTest, FullMatchWithEncodedIntermediatesStaysInCodeSpace) {
   col->AttachEncoding(ColumnEncoding::TryFor<int32_t>(vals));
   BatPtr r = Bat::DenseHead(col);
   BatPtr l = Cand(RandomRows(&rng, 1000, rn, true));
-  SetEncodedIntermediates(true);
   BatPtr j = engine::Join(l, r).ValueOrDie();
   EXPECT_TRUE(j->head().dense());
   EXPECT_TRUE(j->tail().col->encoded_native());
@@ -390,6 +387,103 @@ TEST(KernelShapeTest, KuniqueKeepsFirstPairPerHead) {
     }
     ExpectSameBat(*engine::Kunique(b).ValueOrDie(), want_heads, want_tails);
   }
+}
+
+// --- code-space grouping ----------------------------------------------------
+
+template <typename T>
+EncodingPtr Encode(const std::vector<T>& vals) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return ColumnEncoding::TryDict(vals, /*max_distinct=*/1u << 20);
+  } else {
+    return ColumnEncoding::TryFor<T>(vals);
+  }
+}
+
+size_t CodeWidth(const ColumnEncoding& enc) {
+  return enc.VisitCodes([](const auto& codes) { return sizeof(codes[0]); });
+}
+
+/// `vals` as a raw column, a raw column with an encoding sidecar, and an
+/// encoded-native column; the codes must be `width` bytes wide (0: any).
+template <typename T>
+std::vector<ColumnPtr> Representations(TypeTag type, const std::vector<T>& vals,
+                                       size_t width) {
+  EncodingPtr enc = Encode(vals);
+  EXPECT_NE(enc, nullptr);
+  if (enc == nullptr) return {Column::Make(type, vals)};
+  if (width != 0) EXPECT_EQ(CodeWidth(*enc), width) << TypeName(type);
+  auto sidecar = Column::Make(type, vals);
+  sidecar->AttachEncoding(enc);
+  return {Column::Make(type, vals), sidecar, Column::MakeEncoded(type, enc)};
+}
+
+template <typename T>
+void CheckCodeSpaceGrouping(uint64_t seed, size_t distinct, size_t width) {
+  const TypeTag type = KeyGen<T>::kType;
+  Rng rng(seed);
+  const size_t n = 2 * distinct + 1000, off = 37, len = n - off;
+  std::vector<ColumnPtr> k1 =
+      Representations(type, RandomKeys<T>(&rng, n, distinct), width);
+  std::vector<ColumnPtr> k2 =
+      Representations(type, RandomKeys<T>(&rng, n, 7), 0);
+  std::vector<Oid> heads(n);
+  for (Oid& h : heads) h = rng.Uniform(1u << 20);
+  const std::vector<ColumnPtr> hs = {
+      Column::Make(TypeTag::kOid, heads),
+      Column::MakeEncoded(TypeTag::kOid, ColumnEncoding::TryFor<Oid>(heads))};
+  std::vector<int32_t> tails(n);
+  for (size_t i = 0; i < n; ++i) tails[i] = static_cast<int32_t>(i);
+  const ColumnPtr tcol = Column::Make(TypeTag::kInt, tails);
+  // Every side is a view at offset `off`.
+  auto bat = [&](const ColumnPtr& h, const ColumnPtr& t) {
+    return Bat::Make(BatSide::Materialized(h, off),
+                     BatSide::Materialized(t, off), len);
+  };
+  auto rows = [](const BatPtr& b) {
+    std::vector<std::pair<Scalar, Scalar>> out;
+    for (size_t i = 0; i < b->size(); ++i)
+      out.emplace_back(b->HeadAt(i), b->TailAt(i));
+    return out;
+  };
+
+  const DecodeCounts before = CachedDecodes();
+  engine::GroupResult want = engine::GroupBy(bat(hs[0], k1[0])).ValueOrDie();
+  engine::GroupResult want2 =
+      engine::SubGroupBy(bat(hs[0], k2[0]), want.map).ValueOrDie();
+  const auto want_unique = rows(engine::Kunique(bat(k1[0], tcol)).ValueOrDie());
+  ASSERT_GT(want.reps->size(), 1u);
+  for (const ColumnPtr& h : hs) {
+    for (size_t a = 0; a < k1.size(); ++a) {
+      engine::GroupResult g = engine::GroupBy(bat(h, k1[a])).ValueOrDie();
+      ASSERT_EQ(TailOids(g.map), TailOids(want.map)) << "key repr " << a;
+      ASSERT_EQ(TailOids(g.reps), TailOids(want.reps)) << "key repr " << a;
+      // The second key raw beside an encoded first key (a column a commit
+      // replaced), and every other mix.
+      for (size_t b = 0; b < k2.size(); ++b) {
+        engine::GroupResult g2 =
+            engine::SubGroupBy(bat(h, k2[b]), g.map).ValueOrDie();
+        ASSERT_EQ(TailOids(g2.map), TailOids(want2.map)) << a << "/" << b;
+        ASSERT_EQ(TailOids(g2.reps), TailOids(want2.reps)) << a << "/" << b;
+      }
+      EXPECT_EQ(rows(engine::Kunique(bat(k1[a], tcol)).ValueOrDie()),
+                want_unique)
+          << "key repr " << a;
+    }
+  }
+  EXPECT_EQ(CachedDecodes().decodes, before.decodes);
+}
+
+TEST(KernelShapeTest, CodeSpaceGroupingMatchesValuesForCodes) {
+  CheckCodeSpaceGrouping<int32_t>(1410, 200, 1);
+  CheckCodeSpaceGrouping<int32_t>(1411, 20000, 2);
+  CheckCodeSpaceGrouping<int64_t>(1412, 3000, 4);
+}
+
+TEST(KernelShapeTest, CodeSpaceGroupingMatchesValuesForDictionaries) {
+  CheckCodeSpaceGrouping<std::string>(1413, 200, 1);
+  CheckCodeSpaceGrouping<std::string>(1414, 5000, 2);
+  CheckCodeSpaceGrouping<std::string>(1415, 100000, 4);
 }
 
 }  // namespace

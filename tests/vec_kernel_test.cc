@@ -340,32 +340,34 @@ TEST(VecKernelParityTest, EncodedLikeMatchesRaw) {
   }
 }
 
-/// Flipping the encoded-intermediates switch must never change answers,
-/// only the physical representation of gathered intermediates.
-TEST(VecKernelParityTest, EncodedIntermediatesFlagPreservesResults) {
+/// Gathering out of an encoded column keeps the codes (an encoded-native
+/// intermediate); that must never change answers, only the physical
+/// representation of the gathered intermediates.
+TEST(VecKernelParityTest, EncodedIntermediatesPreserveResults) {
   Rng rng(211);
   std::vector<int32_t> vals(2000);
   for (auto& v : vals)
     v = static_cast<int32_t>(rng.Uniform(250)) + 100;
-  auto col = Column::Make(TypeTag::kInt, std::move(vals));
-  col->AttachEncoding(ColumnEncoding::TryFor<int32_t>(col->Data<int32_t>()));
-  ASSERT_NE(col->encoding(), nullptr);
-  BatPtr b = Bat::DenseHead(col);
+  auto raw_col = Column::Make(TypeTag::kInt, vals);
+  auto enc_col = Column::Make(TypeTag::kInt, std::move(vals));
+  enc_col->AttachEncoding(
+      ColumnEncoding::TryFor<int32_t>(enc_col->Data<int32_t>()));
+  ASSERT_NE(enc_col->encoding(), nullptr);
 
-  auto run = [&] {
+  auto run = [&](const ColumnPtr& col) {
     // select -> aggregate, the gather chain TakeSide serves.
+    BatPtr b = Bat::DenseHead(col);
     auto sel =
         engine::Select(b, Scalar::Int(150), Scalar::Int(250), true, true)
             .ValueOrDie();
     return std::make_pair(sel, engine::Aggr(engine::AggFn::kSum, sel)
                                    .ValueOrDie());
   };
-  ASSERT_FALSE(EncodedIntermediatesEnabled());
-  auto [raw_sel, raw_sum] = run();
-  SetEncodedIntermediates(true);
-  auto [enc_sel, enc_sum] = run();
-  SetEncodedIntermediates(false);
-  ExpectSameBat(raw_sel, enc_sel, "flag on/off parity");
+  auto [raw_sel, raw_sum] = run(raw_col);
+  auto [enc_sel, enc_sum] = run(enc_col);
+  EXPECT_FALSE(raw_sel->tail().col->encoded_native());
+  EXPECT_TRUE(enc_sel->tail().col->encoded_native());
+  ExpectSameBat(raw_sel, enc_sel, "raw/encoded parity");
   EXPECT_EQ(raw_sum, enc_sum);
 }
 
